@@ -8,6 +8,7 @@ use mvrt::{
 };
 use mvvm::{CostModel, Fault, Machine, MachineConfig, SmpMachine, Stats};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from building or driving a program.
 #[derive(Debug)]
@@ -59,7 +60,7 @@ impl From<mvvm::MemError> for BuildError {
 /// A compiled and linked MVC program.
 #[derive(Clone)]
 pub struct Program {
-    exe: Executable,
+    exe: Arc<Executable>,
     warnings: Vec<mvc::Warning>,
     multiversed: bool,
 }
@@ -76,7 +77,7 @@ impl Program {
     pub fn build_with(units: &[(&str, &str)], opts: &Options) -> Result<Program, BuildError> {
         let (exe, warnings) = mvc::compile_and_link(units, opts)?;
         Ok(Program {
-            exe,
+            exe: Arc::new(exe),
             warnings,
             multiversed: opts.multiverse,
         })
@@ -93,7 +94,7 @@ impl Program {
     ) -> Result<Program, BuildError> {
         let (exe, warnings) = pipeline.build(units)?;
         Ok(Program {
-            exe,
+            exe: Arc::new(exe),
             warnings,
             multiversed,
         })
@@ -132,7 +133,7 @@ impl Program {
         World {
             machine,
             rt,
-            exe: self.exe.clone(),
+            exe: Arc::clone(&self.exe),
             vm_metrics: None,
         }
     }
@@ -151,7 +152,7 @@ impl Program {
         SmpWorld {
             smp,
             rt,
-            exe: self.exe.clone(),
+            exe: Arc::clone(&self.exe),
             vm_metrics: None,
         }
     }
@@ -163,7 +164,7 @@ pub struct World {
     pub machine: Machine,
     /// The multiverse runtime (absent in dynamic/static builds).
     pub rt: Option<Runtime>,
-    exe: Executable,
+    exe: Arc<Executable>,
     pub(crate) vm_metrics: Option<mvvm::VmMetrics>,
 }
 
@@ -323,7 +324,7 @@ pub struct SmpWorld {
     pub smp: SmpMachine,
     /// The multiverse runtime (absent in dynamic/static builds).
     pub rt: Option<Runtime>,
-    exe: Executable,
+    exe: Arc<Executable>,
     pub(crate) vm_metrics: Option<mvvm::VmMetrics>,
 }
 

@@ -19,7 +19,7 @@ use mvobj::descriptor::{
 };
 use mvobj::{Executable, SEC_MV_CALLSITES, SEC_MV_FUNCTIONS, SEC_MV_VARIABLES};
 use mvtrace::{EventKind, TraceRing};
-use mvvm::Machine;
+use mvvm::{FxBuildHasher, Machine};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,12 +106,12 @@ pub struct CommitReport {
 /// The attached multiverse runtime for one loaded program.
 pub struct Runtime {
     pub(crate) vars: Vec<VarDesc>,
-    pub(crate) var_by_addr: HashMap<u64, usize>,
+    pub(crate) var_by_addr: HashMap<u64, usize, FxBuildHasher>,
     pub(crate) fns: Vec<FnState>,
-    pub(crate) fn_by_addr: HashMap<u64, usize>,
+    pub(crate) fn_by_addr: HashMap<u64, usize, FxBuildHasher>,
     pub(crate) sites: Vec<SiteState>,
     /// callee address (generic entry or fn-pointer variable) → site indices.
-    pub(crate) sites_of: HashMap<u64, Vec<usize>>,
+    pub(crate) sites_of: HashMap<u64, Vec<usize>, FxBuildHasher>,
     /// The undo log of the apply phase currently in flight, if any.
     pub(crate) txn: Option<Journal>,
     /// Retired journal kept around so the next apply phase reuses its
@@ -178,9 +178,9 @@ impl Runtime {
         let fn_descs = parse_functions(&read_sec(SEC_MV_FUNCTIONS)?)?;
         let site_descs = parse_callsites(&read_sec(SEC_MV_CALLSITES)?)?;
 
-        let var_by_addr: HashMap<u64, usize> =
+        let var_by_addr: HashMap<u64, usize, FxBuildHasher> =
             vars.iter().enumerate().map(|(i, v)| (v.addr, i)).collect();
-        let fn_by_addr: HashMap<u64, usize> = fn_descs
+        let fn_by_addr: HashMap<u64, usize, FxBuildHasher> = fn_descs
             .iter()
             .enumerate()
             .map(|(i, f)| (f.generic, i))
@@ -189,7 +189,7 @@ impl Runtime {
         let backend: Arc<dyn RtBackend> = Arc::new(Mv64RtBackend);
         let abi = backend.abi();
         let mut sites = Vec::with_capacity(site_descs.len());
-        let mut sites_of: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut sites_of: HashMap<u64, Vec<usize>, FxBuildHasher> = HashMap::default();
         for desc in site_descs {
             let insn = insn_at(m, abi, desc.site)?;
             let (len, indirect) = match insn {

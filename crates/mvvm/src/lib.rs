@@ -43,7 +43,7 @@ pub mod stats;
 pub mod tier0;
 pub mod trace;
 
-pub use block::{BlockCacheStats, DecodedBlock, ExecTier};
+pub use block::{BlockCacheStats, DecodedBlock, ExecTier, FxBuildHasher};
 pub use cost::CostModel;
 pub use fault::{FaultMode, FaultOp, FaultPlan};
 pub use machine::{CpuContext, Fault, Machine, MachineConfig, MachineMode, Platform};

@@ -8,7 +8,7 @@
 //! profiles, fault points — is identical across tiers by construction.
 
 use crate::block::{
-    BlockCacheStats, DecodedBlock, ExecTier, MAX_BLOCK_INSTS, MAX_SUPERBLOCK_FUSES,
+    BlockCacheStats, DecodedBlock, ExecTier, FxBuildHasher, MAX_BLOCK_INSTS, MAX_SUPERBLOCK_FUSES,
     MAX_SUPERBLOCK_INSTS,
 };
 use crate::cost::CostModel;
@@ -169,7 +169,7 @@ pub struct Machine {
     pub stats: Stats,
     config: MachineConfig,
     out: Vec<u8>,
-    decode_cache: HashMap<u64, CachedDecode>,
+    decode_cache: HashMap<u64, CachedDecode, FxBuildHasher>,
     /// Which execution engine runs (shared by all vCPUs of an SMP
     /// machine — the tier is machine state, not per-CPU state).
     tier: ExecTier,
@@ -212,7 +212,7 @@ pub struct CpuContext {
     /// Private event counters; roll up machine-wide with `AddAssign`.
     pub stats: Stats,
     /// Private decoded-instruction cache (the icache model).
-    pub decode_cache: HashMap<u64, CachedDecode>,
+    pub decode_cache: HashMap<u64, CachedDecode, FxBuildHasher>,
     /// Private decoded-block cache (the tiered engine's icache model).
     pub blocks: BlockCache,
     /// Pending cmp→jcc macro-fusion point.
@@ -237,7 +237,7 @@ impl Machine {
             stats: Stats::default(),
             config,
             out: Vec::new(),
-            decode_cache: HashMap::new(),
+            decode_cache: HashMap::default(),
             tier: ExecTier::Tierless,
             blocks: BlockCache::default(),
             natives: NativeRegistry::default(),
@@ -1434,6 +1434,32 @@ mod tests {
         }
         extra(&mut o);
         link(&[o], &Layout::default()).unwrap()
+    }
+
+    #[test]
+    fn stack_is_demand_backed() {
+        let mut m = Machine::new(CostModel::default(), MachineConfig::default());
+        let stack = STACK_TOP - m.config.stack_size;
+        assert!(m.mem.prot_of(stack).is_some_and(|p| p.write));
+        assert_eq!(
+            m.mem.backed_pages(),
+            0,
+            "a fresh machine backs no stack page"
+        );
+        assert_eq!(
+            m.mem.read_uint(stack, 8).unwrap(),
+            0,
+            "unbacked pages read as zeros"
+        );
+        m.push(0xfeed).unwrap();
+        assert_eq!(
+            m.mem.backed_pages(),
+            1,
+            "the first push backs exactly one page"
+        );
+        assert_eq!(m.mem.read_uint(m.cpu.sp(), 8).unwrap(), 0xfeed);
+        m.push(0xbeef).unwrap();
+        assert_eq!(m.mem.backed_pages(), 1);
     }
 
     #[test]

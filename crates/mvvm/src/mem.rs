@@ -1,5 +1,18 @@
 //! Paged guest memory with R/W/X protection and icache versioning.
+//!
+//! The page table is one [`FxBuildHasher`]-keyed map from page number to
+//! [`Page`]. Every access that lies inside one page — which is every
+//! guest load, store and instruction fetch short of a page-straddling
+//! one — costs a single probe: that probe checks protection, reads the
+//! page's `text` flag (which decides whether a `TextWrite` fault plan is
+//! consulted) and copies the bytes. Accesses spanning pages validate
+//! every page before copying any byte, so a faulting one is atomic.
+//!
+//! Pages are demand-backed: [`Memory::map`] records protection only and
+//! a page's 4 KiB are allocated on its first write. Reads and fetches of
+//! a never-written page see zeros, exactly as a zero-filled page would.
 
+use crate::block::FxBuildHasher;
 use crate::fault::{FaultOp, FaultPlan};
 use mvobj::{Executable, Prot};
 use std::collections::HashMap;
@@ -8,6 +21,11 @@ use std::fmt;
 /// Page size of the guest address space. Matches the linker's default so
 /// each section's protection can be changed independently.
 pub const PAGE_SIZE: u64 = 4096;
+
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
+
+/// What every never-written page reads as.
+static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
 
 /// Memory access classes, for fault reporting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,7 +68,8 @@ impl fmt::Display for MemError {
 impl std::error::Error for MemError {}
 
 struct Page {
-    bytes: Box<[u8]>,
+    /// `None` until the first write backs the page (see module docs).
+    bytes: Option<Box<[u8; PAGE_BYTES]>>,
     prot: Prot,
     /// Bumped by [`Memory::flush_icache`]; the CPU's decode cache keys on
     /// it. Writing patched bytes without flushing leaves stale decoded
@@ -67,18 +86,50 @@ struct Page {
 impl Page {
     fn new(prot: Prot) -> Page {
         Page {
-            bytes: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+            bytes: None,
             prot,
             code_version: 0,
             text: prot.exec,
         }
     }
+
+    #[inline]
+    fn bytes(&self) -> &[u8; PAGE_BYTES] {
+        self.bytes.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    /// The page's bytes for writing, backing the page on first use.
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut [u8; PAGE_BYTES] {
+        self.bytes.get_or_insert_with(|| {
+            // `vec!` of zeros is a zeroed allocation, not a 4 KiB memset.
+            vec![0u8; PAGE_BYTES]
+                .into_boxed_slice()
+                .try_into()
+                .expect("exactly one page")
+        })
+    }
+}
+
+/// Consults `fault` for one operation (see [`Memory::trip_fault`]); a
+/// free function so callers can hold a page borrowed at the same time.
+#[inline]
+fn trips(fault: &mut Option<FaultPlan>, op: FaultOp, addr: u64) -> bool {
+    fault.as_mut().is_some_and(|plan| plan.trips(op, addr))
+}
+
+/// Offset of `addr` in its page if `[addr, addr+len)` lies inside that
+/// one page.
+#[inline]
+fn in_page(addr: u64, len: usize) -> Option<usize> {
+    let po = (addr % PAGE_SIZE) as usize;
+    (len <= PAGE_BYTES - po).then_some(po)
 }
 
 /// The guest physical/virtual memory (flat, demand-populated pages).
 #[derive(Default)]
 pub struct Memory {
-    pages: HashMap<u64, Page>,
+    pages: HashMap<u64, Page, FxBuildHasher>,
     fault: Option<FaultPlan>,
     /// Bumped by every icache flush that takes effect (see
     /// [`Memory::flush_epoch`]).
@@ -97,6 +148,8 @@ impl Memory {
 
     /// Maps `len` bytes at `addr` with protection `prot`, zero-filled.
     /// Extends/overwrites protection of already-mapped pages in the range.
+    /// Only the protection is recorded; a page is backed on its first
+    /// write.
     pub fn map(&mut self, addr: u64, len: u64, prot: Prot) {
         if len == 0 {
             return;
@@ -136,10 +189,13 @@ impl Memory {
     /// plan lives here because `Memory` is the one object every layer
     /// of the stack can reach. Address-less operations report `0`.
     pub fn trip_fault(&mut self, op: FaultOp, addr: u64) -> bool {
-        match &mut self.fault {
-            Some(plan) => plan.trips(op, addr),
-            None => false,
-        }
+        trips(&mut self.fault, op, addr)
+    }
+
+    /// Number of pages whose bytes are allocated (written at least once).
+    /// Mapped but never-written pages cost only their table entry.
+    pub fn backed_pages(&self) -> usize {
+        self.pages.values().filter(|p| p.bytes.is_some()).count()
     }
 
     /// Whether any page in `[addr, addr+len)` is (or ever was) text.
@@ -239,6 +295,9 @@ impl Memory {
             .map_or(0, |p| p.code_version)
     }
 
+    /// Validates every page of a multi-page access before any byte moves.
+    /// An access running past the top of the address space faults as
+    /// unmapped at `addr`.
     fn access(
         &self,
         addr: u64,
@@ -249,28 +308,38 @@ impl Memory {
         if len == 0 {
             return Ok(());
         }
-        let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len as u64 - 1);
-        for p in first..=last {
-            match self.pages.get(&p) {
-                None => {
-                    return Err(MemError {
-                        addr: if p == first { addr } else { p * PAGE_SIZE },
-                        access,
-                        mapped: false,
-                    })
-                }
-                Some(page) if !check(page.prot) => {
-                    return Err(MemError {
-                        addr: if p == first { addr } else { p * PAGE_SIZE },
-                        access,
-                        mapped: true,
-                    })
-                }
-                Some(_) => {}
-            }
+        let Some(end) = addr.checked_add(len as u64 - 1) else {
+            return Err(MemError {
+                addr,
+                access,
+                mapped: false,
+            });
+        };
+        self.page(addr, access, &check)?;
+        for p in Self::page_no(addr) + 1..=Self::page_no(end) {
+            self.page(p * PAGE_SIZE, access, &check)?;
         }
         Ok(())
+    }
+
+    /// One page-table probe: the page holding `addr` if `check` allows
+    /// the access, else the fault an access of class `access` at `addr`
+    /// gets (`mapped` tells a forbidden page from a missing one).
+    #[inline]
+    fn page(
+        &self,
+        addr: u64,
+        access: Access,
+        check: impl Fn(Prot) -> bool,
+    ) -> Result<&Page, MemError> {
+        match self.pages.get(&Self::page_no(addr)) {
+            Some(page) if check(page.prot) => Ok(page),
+            found => Err(MemError {
+                addr,
+                access,
+                mapped: found.is_some(),
+            }),
+        }
     }
 
     fn copy_out(&self, addr: u64, buf: &mut [u8]) {
@@ -279,8 +348,8 @@ impl Memory {
             let a = addr + done as u64;
             let page = self.pages.get(&Self::page_no(a)).expect("checked");
             let po = (a % PAGE_SIZE) as usize;
-            let n = (buf.len() - done).min(PAGE_SIZE as usize - po);
-            buf[done..done + n].copy_from_slice(&page.bytes[po..po + n]);
+            let n = (buf.len() - done).min(PAGE_BYTES - po);
+            buf[done..done + n].copy_from_slice(&page.bytes()[po..po + n]);
             done += n;
         }
     }
@@ -291,14 +360,23 @@ impl Memory {
             let a = addr + done as u64;
             let page = self.pages.get_mut(&Self::page_no(a)).expect("checked");
             let po = (a % PAGE_SIZE) as usize;
-            let n = (data.len() - done).min(PAGE_SIZE as usize - po);
-            page.bytes[po..po + n].copy_from_slice(&data[done..done + n]);
+            let n = (data.len() - done).min(PAGE_BYTES - po);
+            page.bytes_mut()[po..po + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
     }
 
     /// Reads `buf.len()` bytes at `addr` (data access).
+    #[inline]
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemError> {
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if let Some(po) = in_page(addr, buf.len()) {
+            let page = self.page(addr, Access::Read, |p| p.read)?;
+            buf.copy_from_slice(&page.bytes()[po..po + buf.len()]);
+            return Ok(());
+        }
         self.access(addr, buf.len(), Access::Read, |p| p.read)?;
         self.copy_out(addr, buf);
         Ok(())
@@ -317,14 +395,38 @@ impl Memory {
     /// though protection allows it — modelling a transient fault in the
     /// middle of a patching sequence. Only writes touching a text page
     /// consume the plan's counter; guest data stores are never affected.
+    /// A protection fault is reported before the plan is consulted.
+    #[inline]
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
+        if data.is_empty() {
+            return Ok(());
+        }
+        let injected = MemError {
+            addr,
+            access: Access::Write,
+            mapped: true,
+        };
+        if let Some(po) = in_page(addr, data.len()) {
+            let Memory { pages, fault, .. } = self;
+            let page = match pages.get_mut(&Self::page_no(addr)) {
+                Some(page) if page.prot.write => page,
+                found => {
+                    return Err(MemError {
+                        addr,
+                        access: Access::Write,
+                        mapped: found.is_some(),
+                    })
+                }
+            };
+            if page.text && trips(fault, FaultOp::TextWrite, addr) {
+                return Err(injected);
+            }
+            page.bytes_mut()[po..po + data.len()].copy_from_slice(data);
+            return Ok(());
+        }
         self.access(addr, data.len(), Access::Write, |p| p.write)?;
         if self.touches_text(addr, data.len()) && self.trip_fault(FaultOp::TextWrite, addr) {
-            return Err(MemError {
-                addr,
-                access: Access::Write,
-                mapped: true,
-            });
+            return Err(injected);
         }
         self.copy_in(addr, data);
         Ok(())
@@ -345,18 +447,22 @@ impl Memory {
     }
 
     /// Fetches up to `len` bytes for execution at `addr`.
+    #[inline]
     pub fn fetch(&self, addr: u64, buf: &mut [u8]) -> Result<usize, MemError> {
-        self.access(addr, 1, Access::Exec, |p| p.exec)?;
+        let page = self.page(addr, Access::Exec, |p| p.exec)?;
         // Fetch as many bytes as are executable and mapped; decode decides
         // whether that is enough.
-        let mut n = 0usize;
+        let po = (addr % PAGE_SIZE) as usize;
+        let mut n = buf.len().min(PAGE_BYTES - po);
+        buf[..n].copy_from_slice(&page.bytes()[po..po + n]);
         while n < buf.len() {
-            let a = addr + n as u64;
+            let Some(a) = addr.checked_add(n as u64) else {
+                break;
+            };
             match self.pages.get(&Self::page_no(a)) {
                 Some(p) if p.prot.exec => {
-                    let po = (a % PAGE_SIZE) as usize;
-                    let take = (buf.len() - n).min(PAGE_SIZE as usize - po);
-                    buf[n..n + take].copy_from_slice(&p.bytes[po..po + take]);
+                    let take = (buf.len() - n).min(PAGE_BYTES);
+                    buf[n..n + take].copy_from_slice(&p.bytes()[..take]);
                     n += take;
                 }
                 _ => break,
@@ -366,6 +472,7 @@ impl Memory {
     }
 
     /// Reads a little-endian unsigned integer of `width` bytes.
+    #[inline]
     pub fn read_uint(&self, addr: u64, width: usize) -> Result<u64, MemError> {
         let mut buf = [0u8; 8];
         self.read(addr, &mut buf[..width])?;
@@ -380,6 +487,7 @@ impl Memory {
     }
 
     /// Writes the low `width` bytes of `value`, little-endian.
+    #[inline]
     pub fn write_int(&mut self, addr: u64, value: u64, width: usize) -> Result<(), MemError> {
         self.write(addr, &value.to_le_bytes()[..width])
     }

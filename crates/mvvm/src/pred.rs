@@ -8,6 +8,7 @@
 //! [`Predictors::flush`] between iterations to model a cold BTB (the E10
 //! ablation).
 
+use crate::block::FxBuildHasher;
 use std::collections::HashMap;
 
 /// Depth of the return-stack buffer (16, as on Skylake-class cores).
@@ -18,9 +19,9 @@ pub const RSB_DEPTH: usize = 16;
 pub struct Predictors {
     /// 2-bit saturating counters, keyed by branch address.
     /// 0,1 = predict not-taken; 2,3 = predict taken.
-    cond: HashMap<u64, u8>,
+    cond: HashMap<u64, u8, FxBuildHasher>,
     /// Last observed target per indirect call/jump site.
-    btb: HashMap<u64, u64>,
+    btb: HashMap<u64, u64, FxBuildHasher>,
     /// Return-stack buffer.
     rsb: Vec<u64>,
 }

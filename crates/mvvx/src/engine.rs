@@ -36,7 +36,7 @@ use mvasm::{AluOp, Insn, Reg};
 use mvtrace::{EventKind, TraceRing};
 use mvvm::machine::{HC_CLI, HC_STI, RET_SENTINEL};
 use mvvm::mem::{extend, Access, MemError};
-use mvvm::{Fault, Memory, Platform};
+use mvvm::{Fault, FxBuildHasher, Memory, Platform};
 
 use crate::config::{ConfigSpace, LeafSet};
 use crate::value::{NeedSplit, Val};
@@ -269,7 +269,7 @@ pub struct Vexec<'a> {
     platform: Platform,
     opts: VexecOptions,
     trace: Option<&'a mut TraceRing>,
-    decode_cache: HashMap<u64, Insn>,
+    decode_cache: HashMap<u64, Insn, FxBuildHasher>,
     stats: VexecStats,
     live: u64,
 }
@@ -328,7 +328,7 @@ impl<'a> Vexec<'a> {
             platform,
             opts: VexecOptions::default(),
             trace: None,
-            decode_cache: HashMap::new(),
+            decode_cache: HashMap::default(),
             stats: VexecStats::default(),
             live: 0,
         }
