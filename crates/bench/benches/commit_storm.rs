@@ -27,10 +27,9 @@ fn bench(c: &mut Criterion) {
         );
         assert!(r.workers_exact, "{}: a worker lost iterations", r.strategy);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_commit_storm.json");
-    std::fs::write(path, mv_bench::commit_storm_json(&rows))
-        .expect("write BENCH_commit_storm.json");
-    println!("wrote {path}\n");
+    let doc = mv_bench::COMMIT_STORM_DOC;
+    doc.write(rows.iter().map(mv_bench::CommitStormRow::json));
+    println!("wrote {}\n", doc.file);
 
     let mut g = c.benchmark_group("commit_storm");
     for strategy in [CommitStrategy::StopMachine, CommitStrategy::Breakpoint] {

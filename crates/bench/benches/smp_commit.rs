@@ -23,9 +23,9 @@ fn bench(c: &mut Criterion) {
     for r in &rows {
         assert!(r.consistent, "{} @ {} vCPUs", r.strategy, r.vcpus);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_smp.json");
-    std::fs::write(path, mv_bench::smp_commit_json(&rows)).expect("write BENCH_smp.json");
-    println!("wrote {path}\n");
+    let doc = mv_bench::SMP_COMMIT_DOC;
+    doc.write(rows.iter().map(mv_bench::SmpCommitRow::json));
+    println!("wrote {}\n", doc.file);
 
     // Host wall time of one quiesced flip against live workers. The
     // workers get a huge iteration budget and the world is rebooted if

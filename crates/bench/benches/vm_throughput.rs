@@ -1,6 +1,6 @@
 //! Tiered-execution throughput: host-side guest-instruction throughput
-//! of the tierless interpreter vs. the tier-0 block cache vs. the
-//! tier-1 superblock engine on the ALU-heavy loop workload.
+//! of the tierless interpreter vs. the tiered engine (without and with
+//! native regions) on the ALU-heavy loop workload.
 //!
 //! The deterministic sweep (identity verdicts + speedups) also runs as
 //! the `vm_throughput_quick` CI gate; the criterion group measures one
@@ -22,17 +22,13 @@ fn bench(c: &mut Criterion) {
     for r in &rows {
         assert!(r.identical, "{}: diverged from tierless", r.tier);
     }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_vm_throughput.json"
-    );
-    std::fs::write(path, mv_bench::vm_throughput_json(&rows))
-        .expect("write BENCH_vm_throughput.json");
-    println!("wrote {path}\n");
+    let doc = mv_bench::VM_THROUGHPUT_DOC;
+    doc.write(rows.iter().map(mv_bench::VmThroughputRow::json));
+    println!("wrote {}\n", doc.file);
 
     let exe = mv_bench::vm_throughput_exe(4_000);
     let mut g = c.benchmark_group("vm_throughput");
-    for tier in [ExecTier::Tierless, ExecTier::Block, ExecTier::Superblock] {
+    for tier in [ExecTier::Tierless, ExecTier::Tiered] {
         let mut m = Machine::boot(&exe);
         m.set_tier(tier);
         m.run_entry(&exe).expect("warm");

@@ -22,6 +22,7 @@
 //! for the native layer, real dispatch latencies).
 
 use multiverse::bench::Series;
+use multiverse::mvmetrics::json;
 use multiverse::mvrt::{CommitStrategy, PatchStrategy};
 use multiverse::mvvm::{ExecTier, MachineMode, Platform};
 use multiverse::{mvasm, mvobj, Program};
@@ -687,6 +688,70 @@ pub fn inline_ablation_data() -> Vec<Series> {
     rows
 }
 
+/// A `BENCH_*.json` perf-trajectory document: the file it is written
+/// to at the workspace root, the `bench` name in its header and the
+/// `unit` its figures are in. Every document has the same shape — the
+/// header, then one [`json::Obj`] row per line.
+#[derive(Clone, Copy, Debug)]
+pub struct BenchDoc {
+    /// File name at the workspace root.
+    pub file: &'static str,
+    /// The document's `"bench"` name.
+    pub bench: &'static str,
+    /// The document's `"unit"`.
+    pub unit: &'static str,
+}
+
+/// [`smp_commit_data`] rows.
+pub const SMP_COMMIT_DOC: BenchDoc = BenchDoc {
+    file: "BENCH_smp.json",
+    bench: "smp_commit",
+    unit: "guest cycles",
+};
+/// [`commit_storm_data`] rows.
+pub const COMMIT_STORM_DOC: BenchDoc = BenchDoc {
+    file: "BENCH_commit_storm.json",
+    bench: "commit_storm",
+    unit: "guest cycles",
+};
+/// [`vm_throughput_data`] rows.
+pub const VM_THROUGHPUT_DOC: BenchDoc = BenchDoc {
+    file: "BENCH_vm_throughput.json",
+    bench: "vm_throughput",
+    unit: "guest instructions / host second",
+};
+/// [`native_tier_data`] rows.
+pub const NATIVE_TIER_DOC: BenchDoc = BenchDoc {
+    file: "BENCH_native.json",
+    bench: "native_tier",
+    unit: "guest instructions / host second",
+};
+/// [`vexec_data`] rows.
+pub const VEXEC_DOC: BenchDoc = BenchDoc {
+    file: "BENCH_vexec.json",
+    bench: "vexec",
+    unit: "guest instructions",
+};
+
+impl BenchDoc {
+    /// Renders the document with `rows`, writes it to [`BenchDoc::file`]
+    /// at the workspace root and returns the text.
+    pub fn write(&self, rows: impl IntoIterator<Item = json::Obj>) -> String {
+        let rows: Vec<String> = rows.into_iter().map(|r| r.finish()).collect();
+        let text = format!(
+            "{{\n  \"bench\": {},\n  \"unit\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+            json::string(self.bench),
+            json::string(self.unit),
+            rows.join(",\n    ")
+        );
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(self.file);
+        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        text
+    }
+}
+
 /// One (core count × strategy) cell of [`smp_commit_data`]: per-flip
 /// quiesce cost on the E15 contention workload.
 #[derive(Clone, Copy, Debug)]
@@ -764,32 +829,20 @@ pub fn smp_commit_series(rows: &[SmpCommitRow]) -> Vec<Series> {
     out
 }
 
-/// Serializes [`smp_commit_data`] rows as the `BENCH_smp.json` document
-/// CI records for the perf trajectory.
-pub fn smp_commit_json(rows: &[SmpCommitRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"smp_commit\",\n  \"unit\": \"guest cycles\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"strategy\": \"{}\", \"vcpus\": {}, \"commit_latency\": {:.1}, \
-             \"stall_cycles\": {:.1}, \"rounds\": {:.1}, \"trap_hits\": {:.2}, \
-             \"steady_cycles\": {:.2}, \"consistent\": {}}}{}",
-            r.strategy,
-            r.vcpus,
-            r.commit_latency,
-            r.stall_cycles,
-            r.rounds,
-            r.trap_hits,
-            r.steady_cycles,
-            r.consistent,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+impl SmpCommitRow {
+    /// This row as a [`SMP_COMMIT_DOC`] row.
+    pub fn json(&self) -> json::Obj {
+        let mut o = json::Obj::new();
+        o.str("strategy", &self.strategy.to_string())
+            .u64("vcpus", self.vcpus as u64)
+            .raw("commit_latency", format!("{:.2}", self.commit_latency))
+            .raw("stall_cycles", format!("{:.2}", self.stall_cycles))
+            .raw("rounds", format!("{:.2}", self.rounds))
+            .raw("trap_hits", format!("{:.2}", self.trap_hits))
+            .raw("steady_cycles", format!("{:.2}", self.steady_cycles))
+            .bool("consistent", self.consistent);
+        o
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// One strategy row of [`commit_storm_data`]: the mvd commit daemon vs.
@@ -862,42 +915,31 @@ pub fn commit_storm_data(
     rows
 }
 
-/// Serializes [`commit_storm_data`] rows as the `BENCH_commit_storm.json`
-/// document CI records for the perf trajectory.
-pub fn commit_storm_json(rows: &[CommitStormRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"commit_storm\",\n  \"unit\": \"guest cycles\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"strategy\": \"{}\", \"vcpus\": {}, \"requests\": {}, \"commits\": {}, \
-             \"coalesced\": {}, \"commit_ratio\": {:.1}, \"speedup\": {:.1}, \
-             \"p50_cycles\": {:.1}, \"p95_cycles\": {:.1}, \"workers_exact\": {}}}{}",
-            r.strategy,
-            r.vcpus,
-            r.requests,
-            r.commits,
-            r.coalesced,
-            r.commit_ratio,
-            r.speedup,
-            r.p50_cycles,
-            r.p95_cycles,
-            r.workers_exact,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+impl CommitStormRow {
+    /// This row as a [`COMMIT_STORM_DOC`] row.
+    pub fn json(&self) -> json::Obj {
+        let mut o = json::Obj::new();
+        o.str("strategy", &self.strategy.to_string())
+            .u64("vcpus", self.vcpus as u64)
+            .u64("requests", self.requests)
+            .u64("commits", self.commits)
+            .u64("coalesced", self.coalesced)
+            .raw("commit_ratio", format!("{:.2}", self.commit_ratio))
+            .raw("speedup", format!("{:.2}", self.speedup))
+            .raw("p50_cycles", format!("{:.2}", self.p50_cycles))
+            .raw("p95_cycles", format!("{:.2}", self.p95_cycles))
+            .bool("workers_exact", self.workers_exact);
+        o
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
-/// One tier row of [`vm_throughput_data`]: host-side interpreter
-/// throughput plus the observation-identity verdict against tierless.
+/// One engine row of [`vm_throughput_data`] or [`native_tier_data`]:
+/// host-side interpreter throughput plus the observation-identity
+/// verdict against tierless.
 #[derive(Clone, Copy, Debug)]
 pub struct VmThroughputRow {
-    /// Execution tier measured.
-    pub tier: ExecTier,
+    /// Engine measured, one of [`TIER_ROWS`].
+    pub tier: &'static str,
     /// Guest instructions retired by one run of the workload.
     pub instructions: u64,
     /// Best-of-trials host wall time for one warm run, nanoseconds.
@@ -911,11 +953,26 @@ pub struct VmThroughputRow {
     pub identical: bool,
 }
 
+impl VmThroughputRow {
+    /// This row as a [`VM_THROUGHPUT_DOC`] or [`NATIVE_TIER_DOC`] row.
+    pub fn json(&self) -> json::Obj {
+        let mut o = json::Obj::new();
+        o.str("tier", self.tier)
+            .u64("instructions", self.instructions)
+            .u64("nanos", self.nanos)
+            .raw("insns_per_sec", format!("{:.0}", self.insns_per_sec))
+            .raw("speedup", format!("{:.2}", self.speedup))
+            .bool("identical", self.identical);
+        o
+    }
+}
+
 /// The tiered-engine throughput workload: a counted loop whose body
 /// mixes straight-line ALU runs, a direct-`jmp` block split and a
-/// `call` to a tiny helper — enough control-flow structure that tier 0
-/// caches several short blocks per iteration and tier 1 fuses them back
-/// into one superblock spanning the whole loop body.
+/// `call` to a tiny helper — enough control-flow structure that the
+/// block layer caches several short blocks per iteration and
+/// superblock promotion fuses them back into one superblock spanning
+/// the whole loop body.
 pub fn vm_throughput_exe(iters: i64) -> mvobj::Executable {
     use mvasm::{AluOp, Cond, Insn, Reg};
     let mut a = mvasm::Assembler::new();
@@ -993,25 +1050,31 @@ pub fn vm_throughput_exe(iters: i64) -> mvobj::Executable {
     mvobj::link(&[o], &mvobj::Layout::default()).expect("link")
 }
 
-/// Shared tier-throughput harness: one untimed run per tier primes the
-/// caches (and promotion / native lowering) and records the observation
-/// tuple, then the best of `trials` timed warm runs yields the
-/// throughput. The first tier listed is the identity baseline. For
-/// [`ExecTier::Native`] the `native_roots` symbols are lowered into the
-/// machine's region registry up front — the role the `native` runtime
-/// backend's post-commit sync plays when a full runtime is attached.
+/// The engines [`measure_tiers`] compares, in row order: the tierless
+/// oracle, the tiered engine with no native regions (as under the
+/// `mv64` backend), and the tiered engine with the workload's roots
+/// lowered to native regions (as under the `native` backend).
+pub const TIER_ROWS: [&str; 3] = ["tierless", "tiered", "tiered + regions"];
+
+/// Shared tier-throughput harness: one untimed run per [`TIER_ROWS`]
+/// engine primes the caches (and promotion / native lowering) and
+/// records the observation tuple, then the best of `trials` timed warm
+/// runs yields the throughput. Tierless is the identity baseline. For
+/// the "tiered + regions" row the `native_roots` symbols are lowered
+/// into the machine's region registry up front — the role the `native`
+/// runtime backend's post-commit sync plays when a full runtime is
+/// attached.
 fn measure_tiers(
     exe: &mvobj::Executable,
-    tiers: &[ExecTier],
     trials: u32,
     native_roots: &[&str],
 ) -> Vec<VmThroughputRow> {
     use multiverse::mvvm::Machine;
     use std::time::Instant;
-    let measure = |tier: ExecTier| {
+    let measure = |label: &str, tier: ExecTier, regions: bool| {
         let mut m = Machine::boot(exe);
         m.set_tier(tier);
-        if tier == ExecTier::Native {
+        if regions {
             for root in native_roots {
                 let entry = exe.symbol(root).expect("native root symbol");
                 assert!(m.ensure_native(entry), "{root} must lower");
@@ -1026,56 +1089,45 @@ fn measure_tiers(
             let t = Instant::now();
             let r2 = m.run_entry(exe).expect("workload runs");
             let dt = t.elapsed().as_nanos() as u64;
-            assert_eq!(r2, r, "{tier}: rerun must reproduce the result");
-            assert_eq!(m.stats.instructions - before, per_run, "{tier}");
+            assert_eq!(r2, r, "{label}: rerun must reproduce the result");
+            assert_eq!(m.stats.instructions - before, per_run, "{label}");
             best = best.min(dt.max(1));
         }
         (per_run, best, obs)
     };
-    let (base_insns, base_nanos, base_obs) = measure(tiers[0]);
-    let mut rows = Vec::new();
-    for (i, &tier) in tiers.iter().enumerate() {
-        let (insns, nanos, obs) = if i == 0 {
-            (base_insns, base_nanos, base_obs)
-        } else {
-            measure(tier)
-        };
-        rows.push(VmThroughputRow {
+    let runs = [
+        measure(TIER_ROWS[0], ExecTier::Tierless, false),
+        measure(TIER_ROWS[1], ExecTier::Tiered, false),
+        measure(TIER_ROWS[2], ExecTier::Tiered, true),
+    ];
+    let (base_insns, base_nanos, base_obs) = runs[0];
+    TIER_ROWS
+        .iter()
+        .zip(runs)
+        .map(|(&tier, (insns, nanos, obs))| VmThroughputRow {
             tier,
             instructions: insns,
             nanos,
             insns_per_sec: insns as f64 / (nanos as f64 / 1e9),
             speedup: base_nanos as f64 / nanos as f64,
             identical: obs == base_obs && insns == base_insns,
-        });
-    }
-    rows
+        })
+        .collect()
 }
 
-/// Guest-instruction throughput of each [`ExecTier`] — including the
-/// native host-closure tier — on the [`vm_throughput_exe`] workload.
-/// Every row carries the identity verdict against tierless: a tier that
-/// gets faster by observing differently is a broken tier, not a fast
-/// one.
+/// Guest-instruction throughput of the [`TIER_ROWS`] engines on the
+/// [`vm_throughput_exe`] workload, with `main` and `bump` as the native
+/// roots. Every row carries the identity verdict against tierless: an
+/// engine that gets faster by observing differently is a broken engine,
+/// not a fast one.
 pub fn vm_throughput_data(iters: i64, trials: u32) -> Vec<VmThroughputRow> {
-    let exe = vm_throughput_exe(iters);
-    measure_tiers(
-        &exe,
-        &[
-            ExecTier::Tierless,
-            ExecTier::Block,
-            ExecTier::Superblock,
-            ExecTier::Native,
-        ],
-        trials,
-        &["main", "bump"],
-    )
+    measure_tiers(&vm_throughput_exe(iters), trials, &["main", "bump"])
 }
 
-/// The native-tier gate workload: a hot register-only loop — no loads,
-/// no stores, no calls — so the whole body lowers into one pre-resolved
-/// micro-op region and the comparison isolates dispatch cost: block
-/// replay vs. superblock replay vs. native closure runs.
+/// The native-region gate workload: a hot register-only loop — no
+/// loads, no stores, no calls — so the whole body lowers into one
+/// pre-resolved micro-op region and the comparison isolates dispatch
+/// cost: block and superblock replay vs. native closure runs.
 pub fn native_hot_exe(iters: i64) -> mvobj::Executable {
     use mvasm::{AluOp, Cond, Insn, Reg};
     let mut a = mvasm::Assembler::new();
@@ -1134,43 +1186,11 @@ pub fn native_hot_exe(iters: i64) -> mvobj::Executable {
     mvobj::link(&[o], &mvobj::Layout::default()).expect("link")
 }
 
-/// Native-tier gate sweep on [`native_hot_exe`]: tierless baseline,
-/// superblock (the best block-engine tier) and native, with identity
-/// verdicts against tierless.
+/// Native-region gate sweep on [`native_hot_exe`]: the [`TIER_ROWS`]
+/// engines with `main` as the native root, with identity verdicts
+/// against tierless.
 pub fn native_tier_data(iters: i64, trials: u32) -> Vec<VmThroughputRow> {
-    let exe = native_hot_exe(iters);
-    measure_tiers(
-        &exe,
-        &[ExecTier::Tierless, ExecTier::Superblock, ExecTier::Native],
-        trials,
-        &["main"],
-    )
-}
-
-/// Serializes [`native_tier_data`] rows as the `BENCH_native.json`
-/// document CI records for the perf trajectory.
-pub fn native_tier_json(rows: &[VmThroughputRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"native_tier\",\n  \"unit\": \"guest instructions / host second\",\n  \
-         \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"tier\": \"{}\", \"instructions\": {}, \"nanos\": {}, \
-             \"insns_per_sec\": {:.0}, \"speedup\": {:.2}, \"identical\": {}}}{}",
-            r.tier,
-            r.instructions,
-            r.nanos,
-            r.insns_per_sec,
-            r.speedup,
-            r.identical,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+    measure_tiers(&native_hot_exe(iters), trials, &["main"])
 }
 
 /// Renders [`vm_throughput_data`] rows as table series.
@@ -1178,38 +1198,10 @@ pub fn vm_throughput_series(rows: &[VmThroughputRow]) -> Vec<Series> {
     let mut mips = Series::new("throughput (M guest insns / host s)");
     let mut speedup = Series::new("speedup over tierless");
     for r in rows {
-        let col = r.tier.to_string();
-        mips.point(&col, r.insns_per_sec / 1e6);
-        speedup.point(&col, r.speedup);
+        mips.point(r.tier, r.insns_per_sec / 1e6);
+        speedup.point(r.tier, r.speedup);
     }
     vec![mips, speedup]
-}
-
-/// Serializes [`vm_throughput_data`] rows as the
-/// `BENCH_vm_throughput.json` document CI records for the perf
-/// trajectory.
-pub fn vm_throughput_json(rows: &[VmThroughputRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"vm_throughput\",\n  \"unit\": \"guest instructions / host second\",\n  \
-         \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"tier\": \"{}\", \"instructions\": {}, \"nanos\": {}, \
-             \"insns_per_sec\": {:.0}, \"speedup\": {:.2}, \"identical\": {}}}{}",
-            r.tier,
-            r.instructions,
-            r.nanos,
-            r.insns_per_sec,
-            r.speedup,
-            r.identical,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// One row of [`vexec_data`]: the E14 grid configuration run through a
@@ -1318,33 +1310,21 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
     s
 }
 
-/// Serializes [`vexec_data`] rows as the `BENCH_vexec.json` document CI
-/// records for the perf trajectory.
-pub fn vexec_json(rows: &[VexecRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"vexec\",\n  \"unit\": \"guest instructions\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"config\": \"{}\", \"leaves\": {}, \"shared_steps\": {}, \
-             \"enum_insns\": {}, \"speedup\": {:.2}, \"splits\": {}, \"joins\": {}, \
-             \"max_live\": {}, \"equivalent\": {}}}{}",
-            r.config,
-            r.leaves,
-            r.shared_steps,
-            r.enum_insns,
-            r.speedup,
-            r.splits,
-            r.joins,
-            r.max_live,
-            r.equivalent,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+impl VexecRow {
+    /// This row as a [`VEXEC_DOC`] row.
+    pub fn json(&self) -> json::Obj {
+        let mut o = json::Obj::new();
+        o.str("config", &self.config)
+            .u64("leaves", self.leaves as u64)
+            .u64("shared_steps", self.shared_steps)
+            .u64("enum_insns", self.enum_insns)
+            .raw("speedup", format!("{:.2}", self.speedup))
+            .u64("splits", self.splits)
+            .u64("joins", self.joins)
+            .u64("max_live", self.max_live as u64)
+            .bool("equivalent", self.equivalent);
+        o
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -1547,10 +1527,8 @@ mod tests {
             stop[1].stall_cycles > stop[0].stall_cycles,
             "stop-machine stall grows with core count"
         );
-        let json = smp_commit_json(&rows);
+        let json = SMP_COMMIT_DOC.write(rows.iter().map(SmpCommitRow::json));
         assert!(json.contains("\"bench\": \"smp_commit\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_smp.json");
-        std::fs::write(path, &json).expect("write BENCH_smp.json");
     }
 
     /// CI's commit-storm gate (see `.github/workflows/ci.yml`): the mvd
@@ -1584,18 +1562,16 @@ mod tests {
             "stop-machine throughput speedup {:.1}x below the 10x gate",
             stop.speedup
         );
-        let json = commit_storm_json(&rows);
+        let json = COMMIT_STORM_DOC.write(rows.iter().map(CommitStormRow::json));
         assert!(json.contains("\"bench\": \"commit_storm\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_commit_storm.json");
-        std::fs::write(path, &json).expect("write BENCH_commit_storm.json");
     }
 
     /// CI's tiered-engine gate (see `.github/workflows/ci.yml`): every
-    /// tier must be observation-identical to tierless, and — on
-    /// optimized builds, which is how CI runs this gate — the
-    /// superblock tier must clear the 5× throughput target. The rows
-    /// are serialized to `BENCH_vm_throughput.json` at the workspace
-    /// root for the perf trajectory.
+    /// engine must be observation-identical to tierless, and — on
+    /// optimized builds, which is how CI runs this gate — the tiered
+    /// engine without native regions must clear the 5× throughput
+    /// target. The rows are serialized to `BENCH_vm_throughput.json` at
+    /// the workspace root for the perf trajectory.
     #[test]
     fn vm_throughput_quick() {
         // Wall-clock ratios are only meaningful on optimized builds;
@@ -1606,7 +1582,8 @@ mod tests {
             40_000
         };
         let rows = vm_throughput_data(iters, 3);
-        assert_eq!(rows.len(), 4, "one row per tier");
+        let tiers: Vec<&str> = rows.iter().map(|r| r.tier).collect();
+        assert_eq!(tiers, TIER_ROWS, "one row per engine");
         for r in &rows {
             assert!(
                 r.identical,
@@ -1615,38 +1592,27 @@ mod tests {
             );
             assert!(r.insns_per_sec > 0.0);
         }
-        assert_eq!(rows[0].tier, ExecTier::Tierless);
         assert_eq!(rows[0].speedup, 1.0);
         // Record the trajectory before gating, so a failed gate still
         // leaves the measured rows behind for diagnosis.
-        let json = vm_throughput_json(&rows);
+        let json = VM_THROUGHPUT_DOC.write(rows.iter().map(VmThroughputRow::json));
         assert!(json.contains("\"bench\": \"vm_throughput\""));
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_vm_throughput.json"
-        );
-        std::fs::write(path, &json).expect("write BENCH_vm_throughput.json");
         if !cfg!(debug_assertions) {
             assert!(
-                rows[1].speedup > 1.0,
-                "tier-0 must beat tierless: {:.2}x",
+                rows[1].speedup >= 5.0,
+                "tiered {:.2}x below the 5x gate",
                 rows[1].speedup
-            );
-            assert!(
-                rows[2].speedup >= 5.0,
-                "superblock {:.2}x below the 5x gate",
-                rows[2].speedup
             );
         }
     }
 
-    /// CI's native-tier gate (see `.github/workflows/ci.yml`): on the
-    /// hot register-only workload the native tier must be
-    /// observation-identical to tierless always, and — on optimized
-    /// builds, which is how CI runs this gate — at least 2× the
-    /// superblock tier's host throughput. The rows are serialized to
-    /// `BENCH_native.json` at the workspace root for the perf
-    /// trajectory.
+    /// CI's native-region gate (see `.github/workflows/ci.yml`): on the
+    /// hot register-only workload the tiered engine with native regions
+    /// must be observation-identical to tierless always, and — on
+    /// optimized builds, which is how CI runs this gate — at least 2×
+    /// the host throughput of the tiered engine without regions. The
+    /// rows are serialized to `BENCH_native.json` at the workspace root
+    /// for the perf trajectory.
     #[test]
     fn native_tier_quick() {
         let iters = if cfg!(debug_assertions) {
@@ -1655,7 +1621,8 @@ mod tests {
             40_000
         };
         let rows = native_tier_data(iters, 3);
-        assert_eq!(rows.len(), 3, "tierless, superblock, native");
+        let tiers: Vec<&str> = rows.iter().map(|r| r.tier).collect();
+        assert_eq!(tiers, TIER_ROWS, "tierless, tiered, tiered + regions");
         for r in &rows {
             assert!(
                 r.identical,
@@ -1664,18 +1631,15 @@ mod tests {
             );
             assert!(r.insns_per_sec > 0.0);
         }
-        assert_eq!(rows[2].tier, ExecTier::Native);
         // Record the trajectory before gating, so a failed gate still
         // leaves the measured rows behind for diagnosis.
-        let json = native_tier_json(&rows);
+        let json = NATIVE_TIER_DOC.write(rows.iter().map(VmThroughputRow::json));
         assert!(json.contains("\"bench\": \"native_tier\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");
-        std::fs::write(path, &json).expect("write BENCH_native.json");
         if !cfg!(debug_assertions) {
-            let over_superblock = rows[1].nanos as f64 / rows[2].nanos as f64;
+            let over_tiered = rows[1].nanos as f64 / rows[2].nanos as f64;
             assert!(
-                over_superblock >= 2.0,
-                "native {over_superblock:.2}x over superblock, below the 2x gate"
+                over_tiered >= 2.0,
+                "regions {over_tiered:.2}x over no regions, below the 2x gate"
             );
         }
     }
@@ -1703,10 +1667,8 @@ mod tests {
         }
         // Record the trajectory before gating, so a failed gate still
         // leaves the measured rows behind for diagnosis.
-        let json = vexec_json(&rows);
+        let json = VEXEC_DOC.write(rows.iter().map(VexecRow::json));
         assert!(json.contains("\"bench\": \"vexec\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_vexec.json");
-        std::fs::write(path, &json).expect("write BENCH_vexec.json");
         let widest = rows.iter().max_by_key(|r| r.leaves).unwrap();
         assert_eq!(widest.leaves, 81, "3^4 is the widest E14 domain");
         assert!(

@@ -115,16 +115,16 @@
 //!   --smp N              run/verify on an N-vCPU SMP machine
 //!   --strategy S         concurrent-commit protocol for --smp commits:
 //!                        stop-machine (default) or breakpoint
-//!   --tier T             execution engine: tierless (default), block
-//!                        (tier-0 decode cache), superblock (tier-1
-//!                        fused blocks) or native (tier-2 lowered
-//!                        regions) — observationally identical, tiered
-//!                        runs print the block-cache counters
+//!   --tier T             execution engine: tierless (default) or tiered
+//!                        (decoded blocks, fused superblocks and any
+//!                        registered native regions) — observationally
+//!                        identical; tiered runs print the block-cache
+//!                        and native-region counters
 //!   --backend B          runtime backend: mv64 (default) or native —
 //!                        identical committed images; the native backend
 //!                        additionally lowers live function bodies to
 //!                        pre-resolved regions after every commit and
-//!                        moves the machine to the native tier
+//!                        moves the machine to the tiered engine
 //! ```
 
 use multiverse::mvc::Options;
@@ -148,11 +148,9 @@ struct Args {
     stats_flag: bool,
     smp: usize,
     strategy: mvrt::CommitStrategy,
-    tier: multiverse::mvvm::ExecTier,
-    /// `--tier` was given on the command line (as opposed to defaulted),
-    /// which makes a conflicting `--backend` an error instead of a
-    /// silent override.
-    tier_explicit: bool,
+    /// `--tier`, if given: an explicit tier makes a conflicting
+    /// `--backend` an error instead of a silent override.
+    tier: Option<multiverse::mvvm::ExecTier>,
     backend: Option<String>,
     configs: String,
     oracle: bool,
@@ -187,8 +185,7 @@ fn parse_args() -> Result<Args, String> {
         stats_flag: false,
         smp: 0,
         strategy: mvrt::CommitStrategy::default(),
-        tier: multiverse::mvvm::ExecTier::default(),
-        tier_explicit: false,
+        tier: None,
         backend: None,
         configs: "all".to_string(),
         oracle: false,
@@ -257,10 +254,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--tier" => {
                 let s = it.next().ok_or("--tier needs an engine name")?;
-                args.tier = multiverse::mvvm::ExecTier::parse(&s).ok_or(format!(
-                    "unknown tier `{s}` (tierless|block|superblock|native)"
-                ))?;
-                args.tier_explicit = true;
+                args.tier = Some(
+                    multiverse::mvvm::ExecTier::parse(&s)
+                        .ok_or(format!("unknown tier `{s}` (tierless|tiered)"))?,
+                );
             }
             "--backend" => {
                 let s = it.next().ok_or("--backend needs a backend name")?;
@@ -308,20 +305,17 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    // A backend that forces an execution tier contradicts an explicit
-    // `--tier` asking for a different one. Historically the backend won
-    // silently (set_backend runs after set_tier); fail fast instead and
-    // name both flags.
-    if args.tier_explicit {
-        if let Some(b) = &args.backend {
-            if let Some(pt) = mvrt::backend::parse(b).and_then(|bk| bk.preferred_tier()) {
-                if pt != args.tier {
-                    return Err(format!(
-                        "conflicting flags: `--backend {b}` forces the `{pt}` execution \
-                         tier, but `--tier {}` was also given; drop one of the two flags",
-                        args.tier
-                    ));
-                }
+    // A backend that forces an execution tier (`--backend native` needs
+    // the tiered engine) contradicts an explicit `--tier tierless`.
+    // set_backend runs after set_tier, so the backend would win
+    // silently; fail fast instead and name both flags.
+    if let (Some(tier), Some(b)) = (args.tier, &args.backend) {
+        if let Some(pt) = mvrt::backend::parse(b).and_then(|bk| bk.preferred_tier()) {
+            if pt != tier {
+                return Err(format!(
+                    "conflicting flags: `--backend {b}` forces the `{pt}` execution \
+                     tier, but `--tier {tier}` was also given; drop one of the two flags"
+                ));
             }
         }
     }
@@ -501,7 +495,7 @@ fn print_quiesce(q: &mvrt::QuiesceReport) {
 /// `verify --smp` and `serve`.
 fn boot_smp_workers(args: &Args, p: &Program, smp: usize) -> Result<multiverse::SmpWorld, String> {
     let mut w = p.boot_smp(smp);
-    w.smp.set_tier(args.tier);
+    w.smp.set_tier(args.tier.unwrap_or_default());
     if let Some(b) = &args.backend {
         w.set_backend(b).map_err(|e| e.to_string())?;
     }
@@ -556,15 +550,16 @@ fn cmd_run_smp(args: &Args, p: &Program) -> Result<(), String> {
         stats.instructions,
         w.smp.max_cycles()
     );
-    print_block_stats(w.smp.machine.tier(), w.smp.block_stats());
-    print_native_stats(w.smp.machine.tier(), w.smp.machine.native_stats());
+    print_tier_stats(&w.smp.machine, w.smp.block_stats());
     Ok(())
 }
 
-/// Prints the block-cache counters after a tiered run (`--tier block`,
-/// `--tier superblock` or `--tier native`); tierless runs have no block
-/// layer to report.
-fn print_block_stats(tier: multiverse::mvvm::ExecTier, s: multiverse::mvvm::BlockCacheStats) {
+/// Prints the block-cache counters (`blocks`, rolled up over every
+/// vCPU under SMP) and `m`'s native-region counters, including why
+/// registered regions went unused, after a `--tier tiered` (or
+/// `--backend native`) run; tierless runs have neither layer to report.
+fn print_tier_stats(m: &multiverse::mvvm::Machine, s: multiverse::mvvm::BlockCacheStats) {
+    let tier = m.tier();
     if tier == multiverse::mvvm::ExecTier::Tierless {
         return;
     }
@@ -572,17 +567,18 @@ fn print_block_stats(tier: multiverse::mvvm::ExecTier, s: multiverse::mvvm::Bloc
         "blocks[{tier}]: {} hits, {} recorded, {} evicted, {} promoted",
         s.hits, s.misses, s.evictions, s.promotions
     );
-}
-
-/// Prints the native-region counters after a native-tier run (`--tier
-/// native` or `--backend native`).
-fn print_native_stats(tier: multiverse::mvvm::ExecTier, n: multiverse::mvvm::NativeStats) {
-    if tier != multiverse::mvvm::ExecTier::Native {
-        return;
-    }
+    let n = m.native_stats();
     println!(
-        "native: {} regions ({} blocks) lowered, {} runs, {} insns, {} invalidated",
-        n.regions, n.blocks, n.runs, n.insns, n.invalidations
+        "native: {} regions ({} blocks) lowered, {} runs, {} insns, {} invalidated, \
+         bypassed trace={} profile={} smp={}",
+        n.regions,
+        n.blocks,
+        n.runs,
+        n.insns,
+        n.invalidations,
+        n.bypass_trace,
+        n.bypass_profile,
+        n.bypass_smp
     );
 }
 
@@ -592,7 +588,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return cmd_run_smp(args, &p);
     }
     let mut world = p.boot();
-    world.machine.set_tier(args.tier);
+    world.machine.set_tier(args.tier.unwrap_or_default());
     if let Some(b) = &args.backend {
         world.set_backend(b).map_err(|e| e.to_string())?;
     }
@@ -620,8 +616,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         println!("{}", String::from_utf8_lossy(&out));
     }
     println!("result: {result} ({} cycles)", world.cycles());
-    print_block_stats(world.machine.tier(), world.machine.block_stats());
-    print_native_stats(world.machine.tier(), world.machine.native_stats());
+    print_tier_stats(&world.machine, world.machine.block_stats());
     if let Some(rt) = &world.rt {
         let s = rt.stats;
         if s.sites_patched > 0 {

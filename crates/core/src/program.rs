@@ -21,6 +21,8 @@ pub enum BuildError {
     Rt(RtError),
     /// A symbol was not found in the image.
     NoSymbol(String),
+    /// A runtime backend name did not parse (see [`World::set_backend`]).
+    UnknownBackend(String),
 }
 
 impl fmt::Display for BuildError {
@@ -30,6 +32,7 @@ impl fmt::Display for BuildError {
             BuildError::Fault(e) => write!(f, "{e}"),
             BuildError::Rt(e) => write!(f, "{e}"),
             BuildError::NoSymbol(s) => write!(f, "no symbol `{s}`"),
+            BuildError::UnknownBackend(s) => write!(f, "unknown backend `{s}` (mv64|native)"),
         }
     }
 }
@@ -205,7 +208,7 @@ impl World {
     /// an attached runtime only the tier change applies.
     pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
         let backend = mvrt::backend::parse(name)
-            .ok_or_else(|| BuildError::NoSymbol(format!("backend `{name}`")))?;
+            .ok_or_else(|| BuildError::UnknownBackend(name.to_string()))?;
         if let Some(tier) = backend.preferred_tier() {
             self.machine.set_tier(tier);
         }
@@ -347,12 +350,13 @@ impl SmpWorld {
     }
 
     /// Installs a runtime backend by CLI name, like [`World::set_backend`].
-    /// Under SMP the native tier defers to the block engine whenever a
-    /// vCPU's sticky instruction cache is active, so this only changes
+    /// Under SMP the tiered engine never runs native regions while the
+    /// vCPUs' sticky instruction caches are active (each such step counts
+    /// an `smp` bypass in [`mvvm::NativeStats`]), so this only changes
     /// patch policy and post-commit bookkeeping, never SMP semantics.
     pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
         let backend = mvrt::backend::parse(name)
-            .ok_or_else(|| BuildError::NoSymbol(format!("backend `{name}`")))?;
+            .ok_or_else(|| BuildError::UnknownBackend(name.to_string()))?;
         if let Some(tier) = backend.preferred_tier() {
             self.smp.machine.set_tier(tier);
         }
@@ -624,5 +628,43 @@ mod tests {
         let p = Program::build(&[("t", SRC)]).unwrap();
         let mut w = p.boot();
         assert!(matches!(w.call("nope", &[]), Err(BuildError::NoSymbol(_))));
+    }
+
+    #[test]
+    fn unknown_backend_is_a_typed_error() {
+        let p = Program::build(&[("t", SMP_SRC)]).unwrap();
+        let mut w = p.boot();
+        let mut smp = p.boot_smp(2);
+        for err in [
+            w.set_backend("bogus").unwrap_err(),
+            smp.set_backend("bogus").unwrap_err(),
+        ] {
+            assert!(matches!(&err, BuildError::UnknownBackend(n) if n == "bogus"));
+            assert_eq!(err.to_string(), "unknown backend `bogus` (mv64|native)");
+        }
+    }
+
+    #[test]
+    fn smp_native_backend_counts_smp_bypasses() {
+        // Sticky per-vCPU icaches keep the registered native regions off:
+        // every tiered step that found them counts as an `smp` bypass.
+        let p = Program::build(&[("t", SMP_SRC)]).unwrap();
+        let mut w = p.boot_smp(2);
+        w.set_backend("native").unwrap();
+        assert_eq!(w.smp.tier(), mvvm::ExecTier::Tiered);
+        w.spawn_all("worker", &[50]).unwrap();
+        for _ in 0..4 {
+            w.smp.step_round();
+        }
+        w.set("feature", 1).unwrap();
+        w.commit_quiesced(CommitStrategy::StopMachine).unwrap();
+        for r in w.run(1_000_000).unwrap() {
+            assert!((500..=1000).contains(&r) && r % 10 == 0, "sum {r}");
+        }
+        let n = w.smp.machine.native_stats();
+        assert!(n.regions > 0, "the backend registered no region: {n:?}");
+        assert_eq!(n.runs, 0, "a region ran under SMP: {n:?}");
+        assert!(n.bypass_smp > 0, "no smp bypass counted: {n:?}");
+        assert_eq!((n.bypass_trace, n.bypass_profile), (0, 0), "{n:?}");
     }
 }

@@ -5,7 +5,7 @@
 //! in [`mvasm::abi::Backend`]; this module layers the *runtime*-level
 //! decisions on top as [`RtBackend`]: which ABI the patcher speaks,
 //! which page protections bracket a text write, and what extra work a
-//! successful commit must do to keep an execution tier coherent with
+//! successful commit must do to keep the tiered engine coherent with
 //! the new function bindings.
 //!
 //! Two implementations ship:
@@ -13,14 +13,14 @@
 //! * [`Mv64RtBackend`] — the reference backend. MV64 encodings, the
 //!   classic transient-RW / restore-RX patch discipline, no post-commit
 //!   work. This is what every runtime uses unless told otherwise.
-//! * [`HostTierBackend`] — the native host-closure tier. Identical
+//! * [`HostTierBackend`] — the native host-closure backend. Identical
 //!   encodings and patch discipline (committed images are byte-for-byte
 //!   those of [`Mv64RtBackend`]), but after every successful commit it
 //!   reconciles the machine's [native region registry] against the
 //!   current function bindings: the *live* body of every multiversed
 //!   function (committed variant or generic fallback) is lowered to a
-//!   pre-resolved micro-op region and executed by the VM's native tier,
-//!   and regions for bodies that are no longer live are dropped.
+//!   pre-resolved micro-op region and executed by the VM's tiered
+//!   engine, and regions for bodies that are no longer live are dropped.
 //!
 //! [native region registry]: mvvm::Machine::ensure_native
 //!
@@ -57,8 +57,7 @@ pub trait RtBackend: Send + Sync {
 
     /// Execution tier this backend wants the machine on, if it cares.
     /// Boot facades apply it when the backend is installed; the sync
-    /// hook itself only ever *upgrades* a tier, never downgrades one
-    /// the embedder chose deliberately.
+    /// hook itself never changes the tier the embedder chose.
     fn preferred_tier(&self) -> Option<ExecTier> {
         None
     }
@@ -86,11 +85,11 @@ impl RtBackend for Mv64RtBackend {
     }
 }
 
-/// The native host-closure tier backend.
+/// The native host-closure backend.
 ///
 /// Encodings and patch discipline are exactly [`Mv64RtBackend`]'s, so
 /// committed images are byte-identical; the difference is the
-/// [`RtBackend::sync`] hook, which keeps the machine's native-tier
+/// [`RtBackend::sync`] hook, which keeps the machine's native
 /// region registry congruent with the function bindings: one lowered
 /// region per multiversed function, rooted at the committed variant's
 /// entry (or the generic entry on fallback), stale roots dropped.
@@ -107,17 +106,13 @@ impl RtBackend for HostTierBackend {
     }
 
     fn preferred_tier(&self) -> Option<ExecTier> {
-        Some(ExecTier::Native)
+        Some(ExecTier::Tiered)
     }
 
     fn sync(&self, m: &mut Machine, rt: &Runtime) {
-        // The native tier is a superset of Superblock; switching a
-        // machine that was left on a lower tier would silently discard
-        // its caches, so only ever move Superblock → Native.
-        if m.tier() == ExecTier::Superblock {
-            m.set_tier(ExecTier::Native);
-        }
-        if m.tier() != ExecTier::Native {
+        // Regions only run on the tiered engine; a machine the embedder
+        // left tierless stays that way.
+        if m.tier() == ExecTier::Tierless {
             return;
         }
         // The live entry of every multiversed function: the committed

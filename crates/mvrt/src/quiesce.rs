@@ -12,7 +12,7 @@
 //!   the new instruction — a torn fetch;
 //! * a vCPU whose private instruction cache still holds a decode of the
 //!   old bytes keeps executing them until an IPI shootdown evicts it —
-//!   stale code. Under a block tier ([`mvvm::ExecTier`]) the same IPI
+//!   stale code. Under the tiered engine ([`mvvm::ExecTier`]) the same IPI
 //!   also evicts exactly the decoded blocks spanning the flushed range
 //!   from every per-vCPU block cache, in lockstep with the per-insn
 //!   decode caches, so quiesced commits need no extra work regardless

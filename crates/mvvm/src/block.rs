@@ -38,32 +38,25 @@ use std::rc::Rc;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecTier {
     /// The original fetch/decode/execute loop, one instruction at a time.
-    /// This is the default and the oracle the tiered engines are
+    /// This is the default and the oracle the tiered engine is
     /// differentially tested against.
     #[default]
     Tierless,
-    /// Tier 0: straight-line blocks decoded once and replayed, ending at
-    /// every control transfer.
-    Block,
-    /// Tier 1: tier-0 blocks, plus hot block entries are re-recorded as
-    /// superblocks that fuse across direct `jmp`/`call` transfers into
-    /// longer pre-decoded runs.
-    Superblock,
-    /// Tier 2: superblock behavior plus pre-lowered whole-function
-    /// regions ([`crate::native`]) for explicitly registered entries —
-    /// the host-closure tier the `native` runtime backend drives through
-    /// the commit protocol.
-    Native,
+    /// The tiered engine: straight-line tier-0 blocks decoded once and
+    /// replayed, hot block entries re-recorded as superblocks that fuse
+    /// across direct `jmp`/`call` transfers, and pre-lowered
+    /// whole-function regions ([`crate::native`]) wherever a caller
+    /// registered them with [`crate::Machine::ensure_native`] — the
+    /// `native` runtime backend does so through the commit protocol.
+    Tiered,
 }
 
 impl ExecTier {
     /// Parses a tier name as accepted by `mvcc run --tier`.
     pub fn parse(s: &str) -> Option<ExecTier> {
         match s {
-            "tierless" | "off" => Some(ExecTier::Tierless),
-            "block" | "tier0" => Some(ExecTier::Block),
-            "superblock" | "tier1" => Some(ExecTier::Superblock),
-            "native" | "tier2" => Some(ExecTier::Native),
+            "tierless" => Some(ExecTier::Tierless),
+            "tiered" => Some(ExecTier::Tiered),
             _ => None,
         }
     }
@@ -73,9 +66,7 @@ impl std::fmt::Display for ExecTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             ExecTier::Tierless => "tierless",
-            ExecTier::Block => "block",
-            ExecTier::Superblock => "superblock",
-            ExecTier::Native => "native",
+            ExecTier::Tiered => "tiered",
         })
     }
 }
@@ -222,17 +213,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exec_tier_parses_names_and_aliases() {
-        assert_eq!(ExecTier::parse("tierless"), Some(ExecTier::Tierless));
-        assert_eq!(ExecTier::parse("block"), Some(ExecTier::Block));
-        assert_eq!(ExecTier::parse("tier0"), Some(ExecTier::Block));
-        assert_eq!(ExecTier::parse("superblock"), Some(ExecTier::Superblock));
-        assert_eq!(ExecTier::parse("tier1"), Some(ExecTier::Superblock));
-        assert_eq!(ExecTier::parse("native"), Some(ExecTier::Native));
-        assert_eq!(ExecTier::parse("tier2"), Some(ExecTier::Native));
-        assert_eq!(ExecTier::parse("bogus"), None);
-        assert_eq!(ExecTier::Superblock.to_string(), "superblock");
-        assert_eq!(ExecTier::Native.to_string(), "native");
+    fn exec_tier_parses_exactly_two_names() {
+        for tier in [ExecTier::Tierless, ExecTier::Tiered] {
+            assert_eq!(ExecTier::parse(&tier.to_string()), Some(tier));
+        }
+        for gone in ["block", "superblock", "native", "tier0", "off", "bogus"] {
+            assert_eq!(ExecTier::parse(gone), None, "{gone}");
+        }
     }
 
     #[test]

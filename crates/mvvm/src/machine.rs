@@ -2,8 +2,8 @@
 //!
 //! Execution is tiered (see [`ExecTier`] and [`crate::block`]): the
 //! default tierless engine decodes one instruction at a time through the
-//! per-instruction decode cache; the block tiers memoize straight-line
-//! decode runs and replay them through the *same* per-instruction
+//! per-instruction decode cache; the tiered engine memoizes straight-line
+//! decode runs and replays them through the *same* per-instruction
 //! execution routine, so every observable — cycles, [`Stats`], traces,
 //! profiles, fault points — is identical across tiers by construction.
 
@@ -176,10 +176,10 @@ pub struct Machine {
     /// The resident per-CPU block cache (tiered execution); swapped with
     /// [`CpuContext::blocks`] alongside the decode cache.
     blocks: BlockCache,
-    /// Lowered native-tier regions (see [`crate::native`]). Machine
-    /// state like the tier itself, not per-CPU state — the native tier
-    /// only runs in non-sticky (unicore) mode, where there is exactly
-    /// one CPU observing the shared text.
+    /// Lowered native regions (see [`crate::native`]). Machine state
+    /// like the tier itself, not per-CPU state — regions only run in
+    /// non-sticky (unicore) mode, where there is exactly one CPU
+    /// observing the shared text.
     natives: NativeRegistry,
     /// `pc` at which a `jcc` would macro-fuse with the preceding `cmp`.
     fusable_at: Option<u64>,
@@ -265,7 +265,7 @@ impl Machine {
 
     /// Selects the execution engine (see [`ExecTier`]). Switching tiers
     /// resets the resident block cache and the native-region registry so
-    /// every tier starts cold; the per-instruction decode cache is
+    /// each engine starts cold; the per-instruction decode cache is
     /// untouched. The tier is machine state shared by every vCPU of an
     /// SMP machine.
     pub fn set_tier(&mut self, tier: ExecTier) {
@@ -824,46 +824,85 @@ impl Machine {
 
     /// Retires up to `budget > 0` instructions through the active
     /// [`ExecTier`] and returns how many retired plus the first fault, if
-    /// any. Tierless maps to a single [`Machine::step`]; the block tiers
-    /// replay and record decoded blocks. Every observable — cycles,
-    /// [`Stats`], traces, profiles, fault points — matches calling
-    /// [`Machine::step`] the same number of times, because the tiers
-    /// memoize decode, never semantics.
+    /// any. Tierless maps to a single [`Machine::step`]; the tiered loop
+    /// runs valid native regions where registered and replays or records
+    /// decoded blocks everywhere else, stopping at the budget, at `halt`,
+    /// or when control reaches [`RET_SENTINEL`] mid-run. (With zero
+    /// retired, the sentinel falls through to recording, whose fetch
+    /// faults exactly as a tierless fetch from the sentinel would.) Every
+    /// observable — cycles, [`Stats`], traces, profiles, fault points —
+    /// matches calling [`Machine::step`] the same number of times,
+    /// because the tiers memoize decode, never semantics.
     pub fn step_tiered(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
         debug_assert!(budget > 0, "step_tiered needs a positive budget");
-        match self.tier {
-            ExecTier::Tierless => match self.step() {
+        if self.tier == ExecTier::Tierless {
+            return match self.step() {
                 Ok(()) => (1, Ok(())),
                 Err(f) => (0, Err(f)),
-            },
-            ExecTier::Block | ExecTier::Superblock => self.step_blocks(budget),
-            ExecTier::Native => self.step_native(budget),
+            };
         }
-    }
-
-    /// The block-tier loop: replay cached valid blocks, record new ones.
-    /// Stops at the budget, at `halt`, or when control reaches
-    /// [`RET_SENTINEL`] mid-run. (With zero retired, the sentinel falls
-    /// through to recording, whose fetch faults exactly as a tierless
-    /// fetch from the sentinel would.)
-    fn step_blocks(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
+        let regions = self.regions_may_run();
         let mut retired = 0u64;
         while retired < budget && !self.cpu.halted {
             let pc = self.cpu.pc;
             if retired > 0 && pc == RET_SENTINEL {
                 break;
             }
+            if regions {
+                if let Some(nf) = self.natives.get(pc).cloned() {
+                    if self.native_valid(&nf) {
+                        let (n, r) = self.run_native(&nf, budget - retired);
+                        retired += n;
+                        if r.is_err() {
+                            return (retired, r);
+                        }
+                        if n > 0 {
+                            continue;
+                        }
+                    } else {
+                        self.natives.invalidate_region(nf.entry);
+                    }
+                }
+            }
+            // No region here (or not enough budget for a whole native
+            // block): one block-engine iteration, then try again.
             let (n, r) = self.step_block_once(budget - retired);
             retired += n;
             if r.is_err() {
                 return (retired, r);
             }
+            if n == 0 {
+                break;
+            }
         }
         (retired, Ok(()))
     }
 
-    /// One iteration of the block-tier loop at the current `pc`: replay
-    /// the cached block if present and valid, record one otherwise.
+    /// `true` if registered native regions may run in this
+    /// [`Machine::step_tiered`] call. Per-op observation (a tracer or
+    /// profiler) and sticky-icache SMP mode belong to the block engine;
+    /// such a call counts one bypass under its reason in [`NativeStats`].
+    fn regions_may_run(&mut self) -> bool {
+        if self.natives.is_empty() {
+            return false;
+        }
+        let stats = &mut self.natives.stats;
+        let reason = if self.trace.is_some() {
+            &mut stats.bypass_trace
+        } else if self.profiler.is_some() {
+            &mut stats.bypass_profile
+        } else if self.sticky_icache {
+            &mut stats.bypass_smp
+        } else {
+            return true;
+        };
+        *reason += 1;
+        false
+    }
+
+    /// One block-engine iteration at the current `pc`: replay the cached
+    /// block if present and valid, record one otherwise. A hot tier-0
+    /// entry is re-recorded as a fused superblock.
     fn step_block_once(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
         let pc = self.cpu.pc;
         let cached = self
@@ -878,11 +917,7 @@ impl Machine {
                 self.record_block(pc, budget, false)
             }
             Some((b, from_last)) => {
-                if !from_last
-                    && matches!(self.tier, ExecTier::Superblock | ExecTier::Native)
-                    && !b.superblock
-                    && self.blocks.bump_hot(pc) >= HOT_THRESHOLD
-                {
+                if !from_last && !b.superblock && self.blocks.bump_hot(pc) >= HOT_THRESHOLD {
                     // Hot tier-0 entry: re-record as a fused
                     // superblock (the recording replaces the map
                     // entry at `pc`).
@@ -898,53 +933,6 @@ impl Machine {
             }
             None => self.record_block(pc, budget, false),
         }
-    }
-
-    /// The native-tier loop (see [`crate::native`]): run lowered regions
-    /// where registered and valid, fall back to the block engine
-    /// everywhere else. With a tracer or profiler attached, or in
-    /// sticky-icache (SMP) mode, the native fast path is bypassed
-    /// entirely — per-op observation and shootdown-precise invalidation
-    /// belong to the block engine.
-    fn step_native(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
-        let plain = self.trace.is_none() && self.profiler.is_none();
-        if !plain || self.sticky_icache || self.natives.is_empty() {
-            return self.step_blocks(budget);
-        }
-        let mut retired = 0u64;
-        while retired < budget && !self.cpu.halted {
-            let pc = self.cpu.pc;
-            if retired > 0 && pc == RET_SENTINEL {
-                break;
-            }
-            let mut ran_native = false;
-            if let Some(nf) = self.natives.get(pc).cloned() {
-                if self.native_valid(&nf) {
-                    let (n, r) = self.run_native(&nf, budget - retired);
-                    retired += n;
-                    if r.is_err() {
-                        return (retired, r);
-                    }
-                    ran_native = n > 0;
-                } else {
-                    self.natives.invalidate_region(nf.entry);
-                }
-            }
-            if ran_native {
-                continue;
-            }
-            // No region here (or not enough budget for a whole native
-            // block): one block-engine iteration, then try again.
-            let (n, r) = self.step_block_once(budget - retired);
-            retired += n;
-            if r.is_err() {
-                return (retired, r);
-            }
-            if n == 0 {
-                break;
-            }
-        }
-        (retired, Ok(()))
     }
 
     /// Executes lowered blocks of `nf` while control stays inside the
@@ -1071,7 +1059,7 @@ impl Machine {
     }
 
     /// Lowers and registers the function region at `entry` for the
-    /// native tier, if it is not already covered by a valid region.
+    /// tiered engine, if it is not already covered by a valid region.
     /// Returns `false` when nothing executable could be lowered there.
     /// Idempotent; the `native` runtime backend calls this from its
     /// post-commit sync for every installed variant.
@@ -1102,7 +1090,7 @@ impl Machine {
         self.natives.get(pc).is_some()
     }
 
-    /// Counters of the native tier (see [`NativeStats`]).
+    /// Counters of the native regions (see [`NativeStats`]).
     pub fn native_stats(&self) -> NativeStats {
         self.natives.stats
     }
@@ -2005,24 +1993,36 @@ mod tests {
 
     #[test]
     fn tiers_are_observation_identical() {
-        let run = |tier: ExecTier| {
+        let run = |tier: ExecTier, regions: bool| {
             let exe = tier_workload();
             let mut m = Machine::boot(&exe);
             m.set_tier(tier);
+            if regions {
+                assert!(m.ensure_native(exe.entry), "entry must lower");
+            }
             m.enable_trace(32);
             m.enable_profile(&exe);
             let r = m.run_entry(&exe).unwrap();
+            let n = m.native_stats();
+            if regions {
+                // With a tracer attached the regions are bypassed, and
+                // the bypass is counted under its first reason.
+                assert_eq!(n.runs, 0, "traced run entered a region: {n:?}");
+                assert!(n.bypass_trace > 0, "trace bypass not counted: {n:?}");
+                assert_eq!((n.bypass_profile, n.bypass_smp), (0, 0), "{n:?}");
+            }
             let trace: Vec<(u64, Insn)> = m.take_trace().unwrap().entries().copied().collect();
             let p = m.take_profile().unwrap();
             let callee = p.counters_of("bump").unwrap();
             (r, m.cycles(), m.stats, trace, callee.cycles, callee.stats)
         };
-        let base = run(ExecTier::Tierless);
-        assert_eq!(run(ExecTier::Block), base, "tier-0 diverged");
-        assert_eq!(run(ExecTier::Superblock), base, "superblock diverged");
-        // With a tracer attached the native tier must bypass its fast
-        // path and still be observation-identical.
-        assert_eq!(run(ExecTier::Native), base, "native (traced) diverged");
+        let base = run(ExecTier::Tierless, false);
+        assert_eq!(run(ExecTier::Tiered, false), base, "tiered diverged");
+        assert_eq!(
+            run(ExecTier::Tiered, true),
+            base,
+            "tiered (regions registered, traced) diverged"
+        );
     }
 
     #[test]
@@ -2031,7 +2031,7 @@ mod tests {
             let exe = tier_workload();
             let mut m = Machine::boot(&exe);
             if native {
-                m.set_tier(ExecTier::Native);
+                m.set_tier(ExecTier::Tiered);
                 assert!(m.ensure_native(exe.entry), "entry must lower");
                 assert!(m.has_native(exe.entry));
             }
@@ -2050,7 +2050,7 @@ mod tests {
     fn native_region_survives_retain_and_reconciles() {
         let exe = tier_workload();
         let mut m = Machine::boot(&exe);
-        m.set_tier(ExecTier::Native);
+        m.set_tier(ExecTier::Tiered);
         assert!(m.ensure_native(exe.entry));
         // ensure is idempotent: no second region for the same entry.
         assert!(m.ensure_native(exe.entry));
@@ -2065,7 +2065,7 @@ mod tests {
     fn block_cache_hits_and_promotes() {
         let exe = tier_workload();
         let mut m = Machine::boot(&exe);
-        m.set_tier(ExecTier::Superblock);
+        m.set_tier(ExecTier::Tiered);
         m.run_entry(&exe).unwrap();
         let s = m.block_stats();
         assert!(s.hits > 0, "loop re-entries must hit: {s:?}");
@@ -2075,14 +2075,14 @@ mod tests {
 
     #[test]
     fn tiered_staleness_matches_tierless() {
-        // The stale-icache discipline must survive the block tiers: a
+        // The stale-icache discipline must survive the tiered engine,
+        // with and without a native region over the patch target: a
         // patch without a flush stays stale, the flush makes exactly the
         // patched code fresh.
-        for tier in [
-            ExecTier::Tierless,
-            ExecTier::Block,
-            ExecTier::Superblock,
-            ExecTier::Native,
+        for (tier, regions) in [
+            (ExecTier::Tierless, false),
+            (ExecTier::Tiered, false),
+            (ExecTier::Tiered, true),
         ] {
             let mut a = mvasm::Assembler::new();
             a.label("f");
@@ -2095,10 +2095,10 @@ mod tests {
             let mut m = Machine::boot(&exe);
             m.set_tier(tier);
             let f = exe.symbol("f").unwrap();
-            if tier == ExecTier::Native {
+            if regions {
                 assert!(m.ensure_native(f), "lower the patch target");
             }
-            assert_eq!(m.call(f, &[]).unwrap(), 1, "{tier}");
+            assert_eq!(m.call(f, &[]).unwrap(), 1, "{tier} (regions: {regions})");
 
             let patched = mvasm::encode(&Insn::MovRI {
                 dst: Reg::R0,
@@ -2107,9 +2107,17 @@ mod tests {
             m.mem.mprotect(f, 16, mvobj::Prot::RW).unwrap();
             m.mem.write(f, &patched).unwrap();
             m.mem.mprotect(f, 16, mvobj::Prot::RX).unwrap();
-            assert_eq!(m.call(f, &[]).unwrap(), 1, "{tier}: must stay stale");
+            assert_eq!(
+                m.call(f, &[]).unwrap(),
+                1,
+                "{tier} (regions: {regions}): must stay stale"
+            );
             m.mem.flush_icache(f, 16);
-            assert_eq!(m.call(f, &[]).unwrap(), 2, "{tier}: flush must refresh");
+            assert_eq!(
+                m.call(f, &[]).unwrap(),
+                2,
+                "{tier} (regions: {regions}): flush must refresh"
+            );
         }
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::block::BlockCacheStats;
 use crate::machine::Machine;
+use crate::native::NativeStats;
 use crate::smp::SmpMachine;
 use mvmetrics::{Counter, Registry};
 
@@ -31,6 +32,8 @@ pub struct VmMetrics {
     native_runs: Counter,
     native_insns: Counter,
     native_invalidations: Counter,
+    /// `mv_vm_native_bypass_total{reason}` for `trace`, `profile`, `smp`.
+    native_bypass: [Counter; 3],
     /// Per-vCPU cycle counters, registered lazily on first SMP sync.
     vcpu_cycles: Vec<Counter>,
 }
@@ -74,7 +77,7 @@ impl VmMetrics {
             ),
             native_regions: registry.counter(
                 "mv_vm_native_regions_total",
-                "Function regions lowered for the native tier",
+                "Function regions lowered for the tiered engine",
             ),
             native_blocks: registry.counter(
                 "mv_vm_native_blocks_total",
@@ -92,6 +95,13 @@ impl VmMetrics {
                 "mv_vm_native_invalidations_total",
                 "Native regions dropped after a code page changed",
             ),
+            native_bypass: ["trace", "profile", "smp"].map(|reason| {
+                registry.counter_with(
+                    "mv_vm_native_bypass_total",
+                    "Tiered steps that left registered native regions unused, by reason",
+                    &[("reason", reason)],
+                )
+            }),
             vcpu_cycles: Vec::new(),
         }
     }
@@ -103,12 +113,16 @@ impl VmMetrics {
         self.block_promotions.store_max(b.promotions);
     }
 
-    fn record_native(&mut self, n: crate::native::NativeStats) {
+    fn record_native(&mut self, n: NativeStats) {
         self.native_regions.store_max(n.regions);
         self.native_blocks.store_max(n.blocks);
         self.native_runs.store_max(n.runs);
         self.native_insns.store_max(n.insns);
         self.native_invalidations.store_max(n.invalidations);
+        let [trace, profile, smp] = &self.native_bypass;
+        trace.store_max(n.bypass_trace);
+        profile.store_max(n.bypass_profile);
+        smp.store_max(n.bypass_smp);
     }
 
     /// Syncs counters from a uniprocessor machine.
@@ -136,6 +150,7 @@ impl VmMetrics {
         self.rounds.store_max(smp.rounds());
         self.stall_cycles.store_max(smp.total_stall_cycles());
         self.record_blocks(smp.block_stats());
+        self.record_native(smp.machine.native_stats());
         while self.vcpu_cycles.len() < smp.vcpus() {
             let i = self.vcpu_cycles.len();
             self.vcpu_cycles.push(self.registry.counter_with(
@@ -194,8 +209,8 @@ mod tests {
         assert!(m.stats.instructions > 0);
     }
 
-    #[test]
-    fn block_counters_mirror_tiered_run() {
+    /// A 20-iteration counted loop, then `halt`.
+    fn loop_exe() -> mvobj::Executable {
         let mut a = mvasm::Assembler::new();
         a.mov_ri(Reg::R1, 0);
         a.label("loop");
@@ -216,25 +231,69 @@ mod tests {
             0,
             blob.bytes.len() as u64,
         ));
-        let exe = link(&[o], &Layout::default()).unwrap();
+        link(&[o], &Layout::default()).unwrap()
+    }
+
+    /// The value of the counter `name` carrying `labels` in `r`.
+    fn counter(r: &Registry, name: &str, labels: &[(&str, &str)]) -> u64 {
+        let snap = r.snapshot();
+        let s = snap
+            .iter()
+            .find(|s| {
+                s.name == name
+                    && s.labels.len() == labels.len()
+                    && labels
+                        .iter()
+                        .all(|&(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
+            })
+            .unwrap_or_else(|| panic!("{name}{labels:?} not registered"));
+        match s.value {
+            mvmetrics::SampleValue::Counter(v) => v,
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn block_counters_mirror_tiered_run() {
+        let exe = loop_exe();
         let mut m = Machine::boot(&exe);
-        m.set_tier(crate::block::ExecTier::Block);
+        m.set_tier(crate::block::ExecTier::Tiered);
         m.run_entry(&exe).unwrap();
 
         let r = Registry::new();
         let mut vm = VmMetrics::new(&r);
         vm.record_machine(&m);
-        let snap = r.snapshot();
-        let get = |name: &str| match snap.iter().find(|s| s.name == name).unwrap().value {
-            mvmetrics::SampleValue::Counter(v) => v,
-            _ => unreachable!(),
-        };
         assert!(
-            get("mv_vm_block_hits_total") > 0,
+            counter(&r, "mv_vm_block_hits_total", &[]) > 0,
             "loop re-entries must hit"
         );
-        assert!(get("mv_vm_block_misses_total") > 0);
-        assert_eq!(get("mv_vm_block_hits_total"), m.block_stats().hits);
+        assert!(counter(&r, "mv_vm_block_misses_total", &[]) > 0);
+        assert_eq!(
+            counter(&r, "mv_vm_block_hits_total", &[]),
+            m.block_stats().hits
+        );
+    }
+
+    #[test]
+    fn native_bypass_counters_mirror_by_reason() {
+        // A profiler keeps registered regions off: every tiered step
+        // counts one `profile` bypass and no region runs.
+        let exe = loop_exe();
+        let mut m = Machine::boot(&exe);
+        m.set_tier(crate::block::ExecTier::Tiered);
+        assert!(m.ensure_native(exe.entry), "main must lower");
+        m.enable_profile(&exe);
+        m.run_entry(&exe).unwrap();
+        let n = m.native_stats();
+        assert_eq!(n.runs, 0, "{n:?}");
+        assert!(n.bypass_profile > 0, "{n:?}");
+
+        let r = Registry::new();
+        let mut vm = VmMetrics::new(&r);
+        vm.record_machine(&m);
+        let bypass = |reason| counter(&r, "mv_vm_native_bypass_total", &[("reason", reason)]);
+        assert_eq!(bypass("profile"), n.bypass_profile);
+        assert_eq!((bypass("trace"), bypass("smp")), (0, 0));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The native host-closure tier: whole-function regions lowered ahead
-//! of execution into pre-resolved micro-op runs.
+//! Native regions: whole-function regions lowered ahead of execution
+//! into pre-resolved micro-op runs, the top layer of the tiered engine
+//! ([`crate::ExecTier::Tiered`]).
 //!
-//! Where the block tiers ([`crate::block`]) *record* decode as a side
-//! effect of executing, this tier *lowers* statically: starting from a
+//! Where the block layer ([`crate::block`]) *records* decode as a side
+//! effect of executing, this layer *lowers* statically: starting from a
 //! registered function entry it walks the reachable direct control flow
 //! (`jmp`, `jcc`, `call rel` and fallthrough edges) through
 //! [`crate::Memory::fetch`] and compiles every straight-line block into a
@@ -17,7 +18,7 @@
 //! pairs the remaining immediate ALU ops — one batched `tsc` update per
 //! segment.
 //!
-//! The observational contract is identical to the block tiers: fast
+//! The observational contract is identical to the block layer's: fast
 //! micro-ops are restricted to the [`crate::DecodedBlock::is_fast`]
 //! subset (register-only, unfaultable, control-free), cycle charges are
 //! counted per original instruction class, and everything else — loads,
@@ -25,7 +26,9 @@
 //! A lowered region is valid only while every page it was lowered from
 //! keeps its `code_version`; a commit patch invalidates the whole
 //! region and execution falls back to the block engine until the next
-//! successful commit re-registers it.
+//! successful commit re-registers it. With a tracer or profiler
+//! attached, or on sticky SMP icaches, registered regions do not run at
+//! all; [`NativeStats`] counts each such bypass by reason.
 //!
 //! Registration is explicit ([`crate::Machine::ensure_native`]): the
 //! `native` runtime backend drives it from the commit protocol, keeping
@@ -46,7 +49,7 @@ pub const MAX_NATIVE_BLOCKS: usize = 128;
 /// Instructions per lowered block (the tier-0 limit, for parity).
 pub const MAX_NATIVE_BLOCK_INSTS: usize = crate::block::MAX_BLOCK_INSTS;
 
-/// Monotone counters of the native tier, mirrored into the metrics
+/// Monotone counters of the native regions, mirrored into the metrics
 /// registry as `mv_vm_native_*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NativeStats {
@@ -60,6 +63,12 @@ pub struct NativeStats {
     pub insns: u64,
     /// Regions dropped because a page generation moved under them.
     pub invalidations: u64,
+    /// Tiered steps that left registered regions unused for a tracer.
+    pub bypass_trace: u64,
+    /// Likewise for a profiler (and no tracer).
+    pub bypass_profile: u64,
+    /// Likewise for SMP vCPUs on sticky private icaches.
+    pub bypass_smp: u64,
 }
 
 /// A pre-resolved register-only micro-operation. Register operands are

@@ -786,9 +786,12 @@ mod tests {
             a.ret();
         });
         let f = exe.symbol("f").unwrap();
-        let run = |tier: ExecTier| {
+        let run = |tier: ExecTier, regions: bool| {
             let mut smp = SmpMachine::boot(&exe, 3);
             smp.set_tier(tier);
+            if regions {
+                assert!(smp.machine.ensure_native(f), "f must lower");
+            }
             smp.set_seed(7);
             for i in 0..3 {
                 smp.spawn(i, f, &[]).unwrap();
@@ -799,23 +802,42 @@ mod tests {
                 assert!(smp.rounds() < 10_000);
             }
             let cycles: Vec<u64> = (0..3).map(|i| smp.cycles_of(i)).collect();
+            let n = smp.machine.native_stats();
+            if regions {
+                // Sticky private icaches keep registered regions off.
+                assert_eq!(n.runs, 0, "regions ran under SMP: {n:?}");
+                assert!(n.bypass_smp > 0, "SMP bypass not counted: {n:?}");
+            }
             (schedule, cycles, smp.total_stats())
         };
-        let base = run(ExecTier::Tierless);
-        assert_eq!(run(ExecTier::Block), base, "tier-0 schedule diverged");
-        assert_eq!(run(ExecTier::Superblock), base, "superblock diverged");
+        let base = run(ExecTier::Tierless, false);
+        assert_eq!(
+            run(ExecTier::Tiered, false),
+            base,
+            "tiered schedule diverged"
+        );
+        assert_eq!(
+            run(ExecTier::Tiered, true),
+            base,
+            "tiered (regions registered) diverged"
+        );
     }
 
     #[test]
     fn tiered_sticky_icache_requires_shootdown() {
-        // The private-icache staleness discipline survives the block
-        // tiers: a global flush_icache is not enough, only flush_remote
-        // makes the patch visible.
-        for tier in [ExecTier::Block, ExecTier::Superblock] {
+        // The private-icache staleness discipline survives the tiered
+        // engine, with or without native regions registered: a global
+        // flush_icache is not enough, only flush_remote makes the patch
+        // visible.
+        for regions in [false, true] {
+            let tier = if regions { "tiered+regions" } else { "tiered" };
             let exe = adder_exe();
             let f = exe.symbol("f").unwrap();
             let mut smp = SmpMachine::boot(&exe, 2);
-            smp.set_tier(tier);
+            smp.set_tier(ExecTier::Tiered);
+            if regions {
+                assert!(smp.machine.ensure_native(f), "f must lower");
+            }
             smp.spawn(0, f, &[0]).unwrap();
             assert_eq!(smp.run_until_done(1000).unwrap()[0], 5);
 

@@ -9,14 +9,14 @@
 //! The cache is the `FxHashMap<u64, Rc<DecodedBlock>>` + `last_block`
 //! shape of aero's tier-0 interpreter, std-only: a `last` fast path skips
 //! even the Fx map lookup when control returns to the block just
-//! executed, and per-entry hot counters drive tier-1 superblock
-//! promotion (see [`crate::Machine::set_tier`]).
+//! executed, and per-entry hot counters drive superblock promotion
+//! (see [`crate::ExecTier::Tiered`]).
 
 use crate::block::{BlockCacheStats, BlockRef, FxBuildHasher};
 use std::collections::HashMap;
 
 /// Hits on a tier-0 block entry before it is re-recorded as a fused
-/// superblock (tier-1 only).
+/// superblock.
 pub const HOT_THRESHOLD: u32 = 8;
 
 /// Cache of decoded blocks keyed by entry `pc`, with a `last_block` fast

@@ -314,10 +314,10 @@ fn fault_sweep_is_backend_identical() {
 }
 
 /// Quiesced SMP commits: both protocols, both backends, same worker
-/// results and same committed image. (Under SMP the native tier defers
-/// to the block engine whenever a vCPU's sticky instruction cache is
-/// active, so this pins down that the backend never changes SMP
-/// semantics.)
+/// results and same committed image. (Under SMP the tiered engine
+/// leaves native regions unused whenever a vCPU's sticky instruction
+/// cache is active, so this pins down that the backend never changes
+/// SMP semantics.)
 #[test]
 fn smp_quiesced_commits_are_backend_identical() {
     use multiverse::mvrt::CommitStrategy;

@@ -43,7 +43,7 @@ fn buggy_patcher_without_flush_runs_stale_code() {
 }
 
 /// The buggy-patcher staleness window is part of the observable
-/// machine semantics, so the tiered engines must reproduce it exactly:
+/// machine semantics, so the tiered engine must reproduce it exactly:
 /// a cached block over the call site stays stale precisely as long as
 /// the cached per-instruction decode would, and the missing flush
 /// evicts both in lockstep.
@@ -74,9 +74,8 @@ fn stale_window_is_identical_at_every_tier() {
     assert_eq!(base.0, vec![2; 12]);
     assert_eq!(base.1, 2, "stale until the flush");
     assert_eq!(base.2, 1, "fresh after the flush");
-    for tier in [ExecTier::Block, ExecTier::Superblock] {
-        assert_eq!(run(tier), base, "{tier}: staleness window diverged");
-    }
+    let tier = ExecTier::Tiered;
+    assert_eq!(run(tier), base, "{tier}: staleness window diverged");
 }
 
 #[test]

@@ -372,7 +372,7 @@ proptest! {
         seed in any::<u64>(),
         breakpoint in any::<bool>(),
         flips in 1usize..5,
-        tier_idx in 0usize..3,
+        tier_idx in 0usize..2,
     ) {
         use multiverse::mvrt::CommitStrategy;
         use multiverse::mvvm::ExecTier;
@@ -383,7 +383,7 @@ proptest! {
         } else {
             CommitStrategy::StopMachine
         };
-        let tier = [ExecTier::Tierless, ExecTier::Block, ExecTier::Superblock][tier_idx];
+        let tier = [ExecTier::Tierless, ExecTier::Tiered][tier_idx];
         let program = smp_contention::build().unwrap();
         let (text, cycles, counter) = smp_flip_run(&program, vcpus, seed, strategy, flips, tier);
         prop_assert_eq!(counter, (vcpus as i64) * 64, "lost a locked increment");
@@ -407,7 +407,7 @@ proptest! {
         // Determinism: replaying the identical seed reproduces the exact
         // interleaving (identical per-vCPU cycle counters and image) —
         // and the tierless twin of a tiered run must be byte- and
-        // cycle-identical, the differential oracle for the block engine.
+        // cycle-identical, the differential oracle for the tiered engine.
         let twin = if tier == ExecTier::Tierless { tier } else { ExecTier::Tierless };
         let (text2, cycles2, counter2) = smp_flip_run(&program, vcpus, seed, strategy, flips, twin);
         prop_assert_eq!(text, text2);

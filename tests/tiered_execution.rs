@@ -4,7 +4,7 @@
 //! [`Stats`], same committed text images, same SMP schedules — on real
 //! compiled programs, through real runtime commits/reverts, through
 //! quiesced concurrent commits, and through injected commit faults.
-//! The block layers memoize decode, never semantics; these tests are
+//! The tiered engine memoizes decode, never semantics; these tests are
 //! the contract.
 
 use multiverse::mvasm::{self, Insn, Reg};
@@ -65,13 +65,12 @@ fn compiled_program_commit_cycle_is_tier_invariant() {
     assert_eq!(&base[24..48], &[1; 24], "variant after commit");
     assert_eq!(base[48], 1, "reverted generic still evaluates fast=1");
     assert_eq!(base[49], 2, "generic reads the switch dynamically again");
-    for tier in [ExecTier::Block, ExecTier::Superblock] {
-        let (r, c, s, hits) = run(tier);
-        assert_eq!(r, base, "{tier}: results diverged");
-        assert_eq!(c, cycles, "{tier}: cycles diverged");
-        assert_eq!(s, stats, "{tier}: stats diverged");
-        assert!(hits > 0, "{tier}: repeated calls must replay blocks");
-    }
+    let tier = ExecTier::Tiered;
+    let (r, c, s, hits) = run(tier);
+    assert_eq!(r, base, "{tier}: results diverged");
+    assert_eq!(c, cycles, "{tier}: cycles diverged");
+    assert_eq!(s, stats, "{tier}: stats diverged");
+    assert!(hits > 0, "{tier}: repeated calls must replay blocks");
 }
 
 fn boot_workers(p: &Program, tier: ExecTier, seed: u64) -> SmpWorld {
@@ -124,9 +123,8 @@ fn quiesced_commits_are_tier_invariant() {
             (VCPUS as i64) * (ITERS as i64),
             "{strategy}: tierless lost an increment"
         );
-        for tier in [ExecTier::Block, ExecTier::Superblock] {
-            assert_eq!(run(tier), base, "{strategy} {tier}: diverged from tierless");
-        }
+        let tier = ExecTier::Tiered;
+        assert_eq!(run(tier), base, "{strategy} {tier}: diverged from tierless");
     }
 }
 
@@ -151,9 +149,8 @@ fn faulted_quiesced_commits_are_tier_invariant() {
         };
         let base = run(ExecTier::Tierless);
         assert_eq!(base.1, (VCPUS as i64) * (ITERS as i64), "{op:?}@{n}");
-        for tier in [ExecTier::Block, ExecTier::Superblock] {
-            assert_eq!(run(tier), base, "{op:?}@{n} {tier}: diverged");
-        }
+        let tier = ExecTier::Tiered;
+        assert_eq!(run(tier), base, "{op:?}@{n} {tier}: diverged");
     }
 }
 
@@ -246,12 +243,11 @@ fn straddling_patch_under_ranged_shootdown_is_tier_invariant() {
         "start-address rule: tail-only flush keeps stale"
     );
     assert_eq!(full, vec![2, 2], "flush over the start refreshes");
-    for tier in [ExecTier::Block, ExecTier::Superblock] {
-        let (t, f, evictions) = run(tier);
-        assert_eq!((t, f), (tail.clone(), full.clone()), "{tier}: diverged");
-        assert!(
-            evictions >= 1,
-            "{tier}: the ranged shootdown must evict blocks"
-        );
-    }
+    let tier = ExecTier::Tiered;
+    let (t, f, evictions) = run(tier);
+    assert_eq!((t, f), (tail.clone(), full.clone()), "{tier}: diverged");
+    assert!(
+        evictions >= 1,
+        "{tier}: the ranged shootdown must evict blocks"
+    );
 }
