@@ -730,7 +730,7 @@ pub const NATIVE_TIER_DOC: BenchDoc = BenchDoc {
 pub const VEXEC_DOC: BenchDoc = BenchDoc {
     file: "BENCH_vexec.json",
     bench: "vexec",
-    unit: "guest instructions",
+    unit: "guest instructions; *_ms and *_us columns host wall time",
 };
 
 impl BenchDoc {
@@ -1227,17 +1227,57 @@ pub struct VexecRow {
     /// `true` iff every leaf's full architectural state matched its
     /// enumerated rerun (the leaf-equivalence check).
     pub equivalent: bool,
+    /// Host wall time of the variational pass, ms.
+    pub vexec_ms: f64,
+    /// Host wall time of the enumeration replay (one boot, then a
+    /// [`multiverse::World::fork`] per leaf), ms.
+    pub enum_ms: f64,
+    /// Host wall time of `Program::boot` + `set_backend("native")`, µs
+    /// (median of 15 trials).
+    pub boot_us: f64,
+    /// Host wall time of forking that booted world, µs (median of 15
+    /// trials).
+    pub fork_us: f64,
+}
+
+/// Trials behind the medians of [`VexecRow::boot_us`] and
+/// [`VexecRow::fork_us`].
+const WALL_TRIALS: usize = 15;
+
+/// Median host wall time of `f` over [`WALL_TRIALS`] runs, µs. What `f`
+/// returns is dropped outside the timed region.
+fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+    use std::time::Instant;
+    let mut us: Vec<f64> = (0..WALL_TRIALS)
+        .map(|_| {
+            let t = Instant::now();
+            let out = f();
+            let elapsed = t.elapsed().as_secs_f64() * 1e6;
+            drop(out);
+            elapsed
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
 }
 
 /// E16: variational execution over the E14 compile-cost grid. Each
 /// configuration is booted uncommitted, `main` (which calls every
 /// multiversed function) runs once under [`multiverse::World::vexec_in`]
 /// across the whole recovered cross product, and then every leaf is
-/// replayed via [`multiverse::enumerate_check`] — both to certify
-/// equivalence and to price the enumeration baseline in the same
-/// deterministic instruction currency.
+/// replayed via [`multiverse::enumerate_check_with`] on the native
+/// backend — both to certify equivalence and to price the enumeration
+/// baseline, in the same deterministic instruction currency and in host
+/// wall time. The wall-clock columns also price a native boot against a
+/// fork of it.
 pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
     use multiverse::mvc::Options;
+    use std::time::Instant;
+    let boot_native = |program: &Program| {
+        let mut w = program.boot();
+        w.set_backend("native")?;
+        Ok(w)
+    };
     let mut rows = Vec::new();
     for &(n_funcs, n_switches, domain) in configs {
         let src = compile_cost_src(n_funcs, n_switches, domain);
@@ -1248,9 +1288,22 @@ pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
         let program = Program::build_with(&[("grid.c", &src)], &opts).expect("build grid");
         let w = program.boot();
         let space = w.config_space().expect("recover space");
+        let t = Instant::now();
         let report = w.vexec_in(&space, "main", &[]).expect("vexec");
+        let vexec_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(report.leaves.len(), space.leaf_count(), "full coverage");
-        let chk = multiverse::enumerate_check(&program, &space, "main", &[], &report);
+        let t = Instant::now();
+        let chk = multiverse::enumerate_check_with(
+            || boot_native(&program),
+            &space,
+            "main",
+            &[],
+            &report,
+        );
+        let enum_ms = t.elapsed().as_secs_f64() * 1e3;
+        let boot_us = median_us(|| boot_native(&program).expect("boot"));
+        let base = boot_native(&program).expect("boot");
+        let fork_us = median_us(|| base.fork());
         let (equivalent, enum_insns) = match chk {
             Ok(c) => (c.leaves_checked == space.leaf_count(), c.insns),
             Err(_) => (false, 0),
@@ -1270,6 +1323,10 @@ pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
             joins: s.joins,
             max_live: s.max_live as usize,
             equivalent,
+            vexec_ms,
+            enum_ms,
+            boot_us,
+            fork_us,
         });
     }
     rows
@@ -1281,7 +1338,7 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<28} {:>6} {:>12} {:>12} {:>8} {:>7} {:>7} {:>5} {:>6}",
+        "{:<28} {:>6} {:>12} {:>12} {:>8} {:>7} {:>7} {:>5} {:>6} {:>9} {:>9} {:>9} {:>9}",
         "configuration",
         "leaves",
         "shared",
@@ -1290,12 +1347,16 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
         "splits",
         "joins",
         "live",
-        "equiv"
+        "equiv",
+        "vexec ms",
+        "enum ms",
+        "boot µs",
+        "fork µs"
     );
     for r in rows {
         let _ = writeln!(
             s,
-            "{:<28} {:>6} {:>12} {:>12} {:>7.1}x {:>7} {:>7} {:>5} {:>6}",
+            "{:<28} {:>6} {:>12} {:>12} {:>7.1}x {:>7} {:>7} {:>5} {:>6} {:>9.3} {:>9.3} {:>9.1} {:>9.1}",
             r.config,
             r.leaves,
             r.shared_steps,
@@ -1304,7 +1365,11 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
             r.splits,
             r.joins,
             r.max_live,
-            if r.equivalent { "yes" } else { "NO" }
+            if r.equivalent { "yes" } else { "NO" },
+            r.vexec_ms,
+            r.enum_ms,
+            r.boot_us,
+            r.fork_us
         );
     }
     s
@@ -1322,7 +1387,11 @@ impl VexecRow {
             .u64("splits", self.splits)
             .u64("joins", self.joins)
             .u64("max_live", self.max_live as u64)
-            .bool("equivalent", self.equivalent);
+            .bool("equivalent", self.equivalent)
+            .raw("vexec_ms", format!("{:.3}", self.vexec_ms))
+            .raw("enum_ms", format!("{:.3}", self.enum_ms))
+            .raw("boot_us", format!("{:.1}", self.boot_us))
+            .raw("fork_us", format!("{:.1}", self.fork_us));
         o
     }
 }
@@ -1649,8 +1718,10 @@ mod tests {
     /// the whole cross product with full-state leaf equivalence against
     /// enumerate-and-rerun, and on the widest-domain configuration the
     /// shared pass must retire at least 3× fewer instructions than the
-    /// enumeration it replaces. The rows are serialized to
-    /// `BENCH_vexec.json` at the workspace root for the perf trajectory.
+    /// enumeration it replaces. On every row, forking a booted world
+    /// must cost at most a tenth of booting one. The rows are serialized
+    /// to `BENCH_vexec.json` at the workspace root for the perf
+    /// trajectory.
     #[test]
     fn vexec_quick() {
         let configs = [
@@ -1677,6 +1748,15 @@ mod tests {
             widest.speedup,
             widest.config
         );
+        for r in &rows {
+            assert!(
+                r.fork_us <= 0.1 * r.boot_us,
+                "{}: fork {:.1} µs above a tenth of boot {:.1} µs",
+                r.config,
+                r.fork_us,
+                r.boot_us
+            );
+        }
     }
 
     #[test]

@@ -8,19 +8,25 @@
 //! variational pass, and cross-checks the per-leaf observations against
 //! the two execution paths the repository already trusts:
 //!
-//! * [`enumerate_check`] — the generic path: for each leaf, boot a
-//!   fresh world, store the assignment into the switch cells (no
+//! * [`enumerate_check`] — the generic path: for each leaf, fork the
+//!   booted base world, store the assignment into the switch cells (no
 //!   commit) and run the function through the ordinary interpreter.
 //!   This compares the *full* architectural observation (exit value,
 //!   output bytes, registers, compare operands and every written memory
 //!   byte) and doubles as the enumerate-and-rerun cost baseline: it
 //!   returns the instructions the enumeration actually retired.
-//! * [`oracle_check`] — the committed-variant path: for each leaf, set
-//!   the assignment, run `multiverse_commit()` so the specialized
-//!   variants are bound, and call the function. Committed variants are
-//!   *specialized* code, so only the black-box observation (exit value
-//!   and output bytes) is compared — registers and scratch memory may
-//!   legitimately differ between a generic body and its variant.
+//! * [`oracle_check`] — the committed-variant path: for each leaf, fork
+//!   the base world, set the assignment, run `multiverse_commit()` so
+//!   the specialized variants are bound, and call the function.
+//!   Committed variants are *specialized* code, so only the black-box
+//!   observation (exit value and output bytes) is compared — registers
+//!   and scratch memory may legitimately differ between a generic body
+//!   and its variant.
+//!
+//! Both oracles boot once per check and [`World::fork`] the base world
+//! for every leaf: a fork runs on from exactly the state a fresh boot
+//! would have, so every leaf is still replayed in full from the same
+//! base, without rebuilding it.
 
 use crate::{BuildError, Program, World};
 use mvobj::descriptor::{parse_functions, parse_variables, DescError};
@@ -241,10 +247,10 @@ impl World {
 pub struct ReplayCheck {
     /// Leaves replayed and compared.
     pub leaves_checked: usize,
-    /// Instructions the replays retired — the enumerate-and-rerun cost
-    /// the variational pass competes against ([`enumerate_check`] only;
-    /// the oracle path runs committed code, whose counts answer a
-    /// different question, so it leaves this 0).
+    /// Instructions the replays' calls retired. For [`enumerate_check`]
+    /// this is the enumerate-and-rerun cost the variational pass
+    /// competes against; [`oracle_check`] counts its committed calls
+    /// (the commits themselves retire no guest instruction).
     pub insns: u64,
 }
 
@@ -270,11 +276,12 @@ fn mismatch(space: &ConfigSpace, leaf: usize, what: String) -> VxError {
     }
 }
 
-/// Replays every leaf of `report` through the *generic* path — fresh
-/// world, switches stored but **not** committed, ordinary interpreter —
-/// and asserts the full architectural observation matches: exit value,
-/// output bytes, register file, compare operands, interrupt flag and
-/// every memory byte the variational pass wrote.
+/// Replays every leaf of `report` through the *generic* path — a fork
+/// of a freshly booted world, switches stored but **not** committed,
+/// ordinary interpreter — and asserts the full architectural
+/// observation matches: exit value, output bytes, register file,
+/// compare operands, interrupt flag and every memory byte the
+/// variational pass wrote.
 ///
 /// Returns the replay cost in retired instructions, which is the
 /// enumerate-and-rerun baseline `report.stats.steps` is measured
@@ -293,6 +300,8 @@ pub fn enumerate_check(
 /// whose pre-call state needs setup beyond `Program::boot` (a corpus
 /// written into memory, a non-default platform, …). The closure must
 /// reconstruct the same base state the variational pass ran against.
+/// It is called once; every leaf replays in a [`World::fork`] of its
+/// world.
 pub fn enumerate_check_with<F>(
     boot: F,
     space: &ConfigSpace,
@@ -301,11 +310,12 @@ pub fn enumerate_check_with<F>(
     report: &VexecReport,
 ) -> Result<ReplayCheck, VxError>
 where
-    F: Fn() -> Result<World, BuildError>,
+    F: FnOnce() -> Result<World, BuildError>,
 {
+    let base = boot()?;
     let mut insns = 0u64;
     for leaf in &report.leaves {
-        let mut w = boot()?;
+        let mut w = base.fork();
         set_assignment(&mut w, space, leaf.leaf)?;
         let before = w.machine.stats.instructions;
         let exit = match w.call(func, args) {
@@ -375,7 +385,8 @@ where
 }
 
 /// Replays every leaf of `report` through the *committed-variant* path:
-/// fresh world, switches set, `multiverse_commit()`, then the call.
+/// a fork of a freshly booted world, switches set,
+/// `multiverse_commit()`, then the call.
 ///
 /// Committed code is specialized, so only the black-box observation is
 /// compared — exit value and output bytes. A divergence here means the
@@ -391,8 +402,8 @@ pub fn oracle_check(
     oracle_check_with(|| Ok(program.boot()), space, func, args, report)
 }
 
-/// [`oracle_check`] with a caller-supplied boot function — see
-/// [`enumerate_check_with`].
+/// [`oracle_check`] with a caller-supplied boot function, called once
+/// — see [`enumerate_check_with`].
 pub fn oracle_check_with<F>(
     boot: F,
     space: &ConfigSpace,
@@ -401,19 +412,24 @@ pub fn oracle_check_with<F>(
     report: &VexecReport,
 ) -> Result<ReplayCheck, VxError>
 where
-    F: Fn() -> Result<World, BuildError>,
+    F: FnOnce() -> Result<World, BuildError>,
 {
+    let base = boot()?;
+    let mut insns = 0u64;
     for leaf in &report.leaves {
-        let mut w = boot()?;
+        let mut w = base.fork();
         set_assignment(&mut w, space, leaf.leaf)?;
         if w.rt.is_some() {
-            w.commit()?;
+            w.commit()
+                .map_err(|e| mismatch(space, leaf.leaf, format!("commit failed: {e}")))?;
         }
+        let before = w.machine.stats.instructions;
         let exit = match w.call(func, args) {
             Ok(v) => Some(v),
             Err(BuildError::Fault(mvvm::Fault::Halted)) if leaf.halted => None,
             Err(e) => return Err(mismatch(space, leaf.leaf, format!("oracle faulted: {e}"))),
         };
+        insns += w.machine.stats.instructions - before;
         if let Some(exit) = exit {
             if leaf.halted {
                 return Err(mismatch(
@@ -441,7 +457,7 @@ where
     }
     Ok(ReplayCheck {
         leaves_checked: report.leaves.len(),
-        insns: 0,
+        insns,
     })
 }
 
@@ -503,6 +519,48 @@ mod tests {
                 want += 1000;
             }
             assert_eq!(leaf.exit as i64, want, "leaf {}", leaf.leaf);
+        }
+    }
+
+    #[test]
+    fn oracle_counts_the_instructions_of_its_committed_calls() {
+        let p = Program::build(&[("t", SRC)]).unwrap();
+        let w = p.boot();
+        let space = w.config_space().unwrap();
+        let report = w.vexec_in(&space, "work", &[5]).unwrap();
+        let generic = enumerate_check(&p, &space, "work", &[5], &report).unwrap();
+        let committed = oracle_check(&p, &space, "work", &[5], &report).unwrap();
+        assert_eq!(committed.leaves_checked, 6);
+        // Specialized variants drop the switch loads and tests.
+        assert!(
+            0 < committed.insns && committed.insns < generic.insns,
+            "committed {} vs generic {}",
+            committed.insns,
+            generic.insns
+        );
+    }
+
+    #[test]
+    fn failed_oracle_commit_names_its_leaf() {
+        use mvvm::{FaultOp, FaultPlan};
+        let p = Program::build(&[("t", SRC)]).unwrap();
+        let w = p.boot();
+        let space = w.config_space().unwrap();
+        let report = w.vexec_in(&space, "work", &[5]).unwrap();
+        let boot = || {
+            let mut w = p.boot();
+            w.machine
+                .inject_fault(FaultPlan::new(FaultOp::Mprotect, 1).sticky());
+            Ok(w)
+        };
+        let err = oracle_check_with(boot, &space, "work", &[5], &report).unwrap_err();
+        match err {
+            VxError::Mismatch { leaf, label, what } => {
+                assert_eq!(leaf, report.leaves[0].leaf);
+                assert_eq!(label, space.label(leaf));
+                assert!(what.starts_with("commit failed: "), "{what}");
+            }
+            other => panic!("expected a leaf-labelled error, got {other}"),
         }
     }
 

@@ -123,9 +123,10 @@ impl RtBackend for HostTierBackend {
         let desired: Vec<u64> = rt
             .fns
             .iter()
-            .map(|f| match f.binding {
+            .zip(&rt.tables.fns)
+            .map(|(f, desc)| match f.binding {
                 FnBinding::Variant(v) => v,
-                FnBinding::Generic => f.desc.generic,
+                FnBinding::Generic => desc.generic,
             })
             .collect();
         m.retain_native(|entry| desired.contains(&entry));

@@ -162,44 +162,52 @@ fn danger_regions(rt: &Runtime, op: TxnOp) -> Result<Vec<(u64, u64)>, RtError> {
     match op {
         TxnOp::CommitAll | TxnOp::RevertAll => {
             fns.extend(0..rt.fns.len());
-            ptr_vars.extend(rt.vars.iter().filter(|v| v.fn_ptr).map(|v| v.addr));
+            ptr_vars.extend(rt.tables.vars.iter().filter(|v| v.fn_ptr).map(|v| v.addr));
         }
         TxnOp::CommitRefs(a) | TxnOp::RevertRefs(a) => {
-            let &vi = rt.var_by_addr.get(&a).ok_or(RtError::UnknownVariable(a))?;
-            if rt.vars[vi].fn_ptr {
+            let &vi = rt
+                .tables
+                .var_by_addr
+                .get(&a)
+                .ok_or(RtError::UnknownVariable(a))?;
+            if rt.tables.vars[vi].fn_ptr {
                 ptr_vars.push(a);
             } else {
                 fns.extend((0..rt.fns.len()).filter(|&fi| rt.references_var(fi, a)));
             }
         }
         TxnOp::CommitFunc(a) | TxnOp::RevertFunc(a) => {
-            let &fi = rt.fn_by_addr.get(&a).ok_or(RtError::UnknownFunction(a))?;
+            let &fi = rt
+                .tables
+                .fn_by_addr
+                .get(&a)
+                .ok_or(RtError::UnknownFunction(a))?;
             fns.push(fi);
         }
     }
     let mut regions: Vec<(u64, u64)> = Vec::new();
     for fi in fns {
-        let f = &rt.fns[fi];
-        if f.desc.variants.is_empty() {
+        let f = &rt.tables.fns[fi];
+        if f.variants.is_empty() {
             continue;
         }
-        let g = f.desc.generic;
+        let g = f.generic;
         // The completeness entry jump overwrites the first call-site's
         // worth of generic bytes in every strategy.
         regions.push((g, g + rt.abi().call_site_len() as u64));
         if matches!(rt.strategy, PatchStrategy::CallSites) {
-            if let Some(idxs) = rt.sites_of.get(&g) {
+            if let Some(idxs) = rt.tables.sites_of.get(&g) {
                 for &si in idxs {
-                    let s = &rt.sites[si];
+                    let s = &rt.tables.sites[si];
                     regions.push((s.desc.site, s.desc.site + s.len as u64));
                 }
             }
         }
     }
     for va in ptr_vars {
-        if let Some(idxs) = rt.sites_of.get(&va) {
+        if let Some(idxs) = rt.tables.sites_of.get(&va) {
             for &si in idxs {
-                let s = &rt.sites[si];
+                let s = &rt.tables.sites[si];
                 regions.push((s.desc.site, s.desc.site + s.len as u64));
             }
         }

@@ -58,9 +58,9 @@ pub(crate) enum SiteBinding {
     Inlined(u64),
 }
 
-/// A call site and its patch state.
+/// A call site as recorded and verified at attach time.
 #[derive(Clone, Debug)]
-pub(crate) struct SiteState {
+pub(crate) struct SiteInfo {
     pub(crate) desc: CallsiteDesc,
     /// Total patchable length: 5 for a `call rel32` site, 9 for a
     /// `call *[mem]` (function-pointer) site.
@@ -68,15 +68,26 @@ pub(crate) struct SiteState {
     /// `true` if the original instruction was an indirect memory call.
     pub(crate) indirect: bool,
     pub(crate) original: Vec<u8>,
-    pub(crate) binding: SiteBinding,
 }
 
-/// A multiversed function and its patch state.
+/// The patch state of a multiversed function.
 #[derive(Clone, Debug)]
 pub(crate) struct FnState {
-    pub(crate) desc: FnDesc,
     pub(crate) binding: FnBinding,
     pub(crate) saved_prologue: Option<Vec<u8>>,
+}
+
+/// The descriptor tables parsed at attach time: switches, multiversed
+/// functions, call sites and their address maps. Read-only afterwards,
+/// so every [`Runtime::fork`] shares one copy.
+pub(crate) struct Tables {
+    pub(crate) vars: Vec<VarDesc>,
+    pub(crate) var_by_addr: HashMap<u64, usize, FxBuildHasher>,
+    pub(crate) fns: Vec<FnDesc>,
+    pub(crate) fn_by_addr: HashMap<u64, usize, FxBuildHasher>,
+    pub(crate) sites: Vec<SiteInfo>,
+    /// callee address (generic entry or fn-pointer variable) → site indices.
+    pub(crate) sites_of: HashMap<u64, Vec<usize>, FxBuildHasher>,
 }
 
 /// Outcome of a commit operation.
@@ -105,13 +116,12 @@ pub struct CommitReport {
 
 /// The attached multiverse runtime for one loaded program.
 pub struct Runtime {
-    pub(crate) vars: Vec<VarDesc>,
-    pub(crate) var_by_addr: HashMap<u64, usize, FxBuildHasher>,
+    /// The immutable descriptor tables, shared with forks.
+    pub(crate) tables: Arc<Tables>,
+    /// Patch state per function, indexed like [`Tables::fns`].
     pub(crate) fns: Vec<FnState>,
-    pub(crate) fn_by_addr: HashMap<u64, usize, FxBuildHasher>,
-    pub(crate) sites: Vec<SiteState>,
-    /// callee address (generic entry or fn-pointer variable) → site indices.
-    pub(crate) sites_of: HashMap<u64, Vec<usize>, FxBuildHasher>,
+    /// Binding per call site, indexed like [`Tables::sites`].
+    pub(crate) sites: Vec<SiteBinding>,
     /// The undo log of the apply phase currently in flight, if any.
     pub(crate) txn: Option<Journal>,
     /// Retired journal kept around so the next apply phase reuses its
@@ -227,29 +237,31 @@ impl Runtime {
             };
             let original = m.mem.read_vec(desc.site, len)?;
             sites_of.entry(desc.callee).or_default().push(sites.len());
-            sites.push(SiteState {
+            sites.push(SiteInfo {
                 desc,
                 len,
                 indirect,
                 original,
-                binding: SiteBinding::Original,
             });
         }
 
         Ok(Runtime {
-            vars,
-            var_by_addr,
-            fns: fn_descs
-                .into_iter()
-                .map(|desc| FnState {
-                    desc,
+            fns: vec![
+                FnState {
                     binding: FnBinding::Generic,
                     saved_prologue: None,
-                })
-                .collect(),
-            fn_by_addr,
-            sites,
-            sites_of,
+                };
+                fn_descs.len()
+            ],
+            sites: vec![SiteBinding::Original; sites.len()],
+            tables: Arc::new(Tables {
+                vars,
+                var_by_addr,
+                fns: fn_descs,
+                fn_by_addr,
+                sites,
+                sites_of,
+            }),
             txn: None,
             spare_journal: Journal::new(),
             stats: PatchStats::default(),
@@ -265,6 +277,33 @@ impl Runtime {
             metrics: None,
             backend,
         })
+    }
+
+    /// A copy of this runtime for a fork of the machine it is attached
+    /// to ([`Machine::fork`]). The descriptor tables are shared through
+    /// an `Arc`; function and call-site bindings, saved prologues,
+    /// journal state, statistics, settings and the backend are copied.
+    /// The fork does not inherit a trace ring or metrics handles.
+    pub fn fork(&self) -> Runtime {
+        Runtime {
+            tables: Arc::clone(&self.tables),
+            fns: self.fns.clone(),
+            sites: self.sites.clone(),
+            txn: self.txn.clone(),
+            spare_journal: Journal::new(),
+            stats: self.stats,
+            patch_time: self.patch_time,
+            strategy: self.strategy,
+            inline_enabled: self.inline_enabled,
+            journal: self.journal,
+            batch_pages: self.batch_pages,
+            batch: self.batch.clone(),
+            retry: self.retry,
+            tracer: None,
+            last_timing: self.last_timing,
+            metrics: None,
+            backend: Arc::clone(&self.backend),
+        }
     }
 
     /// The ISA contract of the installed backend — every encoding and
@@ -352,14 +391,15 @@ impl Runtime {
 
     /// Number of known configuration switches.
     pub fn num_variables(&self) -> usize {
-        self.vars.len()
+        self.tables.vars.len()
     }
 
     /// Addresses of the integer configuration switches, in descriptor
     /// order (function-pointer switches excluded) — for tooling that
     /// flips every switch it can find.
     pub fn switch_addrs(&self) -> Vec<u64> {
-        self.vars
+        self.tables
+            .vars
             .iter()
             .filter(|v| !v.fn_ptr)
             .map(|v| v.addr)
@@ -379,30 +419,35 @@ impl Runtime {
     /// Call sites recorded for the callee at `addr` (generic function or
     /// function-pointer switch).
     pub fn callsites_of(&self, addr: u64) -> usize {
-        self.sites_of.get(&addr).map_or(0, |v| v.len())
+        self.tables.sites_of.get(&addr).map_or(0, |v| v.len())
     }
 
     /// Current binding of the function whose generic entry is `addr`.
     pub fn binding_of(&self, addr: u64) -> Option<FnBinding> {
-        self.fn_by_addr.get(&addr).map(|&i| self.fns[i].binding)
+        self.tables
+            .fn_by_addr
+            .get(&addr)
+            .map(|&i| self.fns[i].binding)
     }
 
     /// The variant entry addresses of the function at `addr` (for tests
     /// and tooling).
     pub fn variants_of(&self, addr: u64) -> Option<Vec<u64>> {
-        self.fn_by_addr
+        self.tables
+            .fn_by_addr
             .get(&addr)
-            .map(|&i| self.fns[i].desc.variants.iter().map(|v| v.addr).collect())
+            .map(|&i| self.tables.fns[i].variants.iter().map(|v| v.addr).collect())
     }
 
     /// Reads the current value of the configuration switch at `addr`,
     /// honoring its descriptor's width and signedness.
     pub fn read_switch(&self, m: &Machine, addr: u64) -> Result<i64, RtError> {
         let &i = self
+            .tables
             .var_by_addr
             .get(&addr)
             .ok_or(RtError::UnknownVariable(addr))?;
-        let v = &self.vars[i];
+        let v = &self.tables.vars[i];
         Ok(m.mem.read_int(v.addr, v.width as usize, v.signed)?)
     }
 
@@ -410,25 +455,25 @@ impl Runtime {
     /// writes switches with ordinary stores).
     pub fn write_switch(&self, m: &mut Machine, addr: u64, value: i64) -> Result<(), RtError> {
         let &i = self
+            .tables
             .var_by_addr
             .get(&addr)
             .ok_or(RtError::UnknownVariable(addr))?;
-        let v = &self.vars[i];
+        let v = &self.tables.vars[i];
         Ok(m.mem.write_int(v.addr, value as u64, v.width as usize)?)
     }
 
     pub(crate) fn select_variant(&self, m: &Machine, fi: usize) -> Result<Option<usize>, RtError> {
-        let f = &self.fns[fi];
-        'variants: for (vi, v) in f.desc.variants.iter().enumerate() {
+        let f = &self.tables.fns[fi];
+        'variants: for (vi, v) in f.variants.iter().enumerate() {
             for g in &v.guards {
-                let &var_i =
-                    self.var_by_addr
-                        .get(&g.var_addr)
-                        .ok_or(RtError::UnknownGuardVariable {
-                            function: f.desc.generic,
-                            var_addr: g.var_addr,
-                        })?;
-                let var = &self.vars[var_i];
+                let &var_i = self.tables.var_by_addr.get(&g.var_addr).ok_or(
+                    RtError::UnknownGuardVariable {
+                        function: f.generic,
+                        var_addr: g.var_addr,
+                    },
+                )?;
+                let var = &self.tables.vars[var_i];
                 let value = m.mem.read_int(var.addr, var.width as usize, var.signed)?;
                 if !g.admits(value) {
                     continue 'variants;
@@ -447,8 +492,8 @@ impl Runtime {
         inline: Option<(u64, u32)>,
     ) -> Result<(), RtError> {
         let (site, len, binding) = {
-            let s = &self.sites[si];
-            (s.desc.site, s.len, s.binding)
+            let s = &self.tables.sites[si];
+            (s.desc.site, s.len, self.sites[si])
         };
         // §4: check the site still points at the expected target before
         // touching it. Inside a transaction the validate phase has
@@ -458,8 +503,8 @@ impl Runtime {
         if self.txn.is_none() {
             match binding {
                 SiteBinding::Call(t) => verify_call(m, abi, site, t)?,
-                SiteBinding::Original if !self.sites[si].indirect => {
-                    verify_call(m, abi, site, self.sites[si].desc.callee)?
+                SiteBinding::Original if !self.tables.sites[si].indirect => {
+                    verify_call(m, abi, site, self.tables.sites[si].desc.callee)?
                 }
                 _ => {}
             }
@@ -481,7 +526,7 @@ impl Runtime {
         };
         self.write_text(m, site, &bytes)?;
         self.stats.sites_patched += 1;
-        self.sites[si].binding = new_binding;
+        self.sites[si] = new_binding;
         match new_binding {
             SiteBinding::Inlined(variant) => self.emit(|| EventKind::Inlined { site, variant }),
             _ => self.emit(|| EventKind::SitePatched { site, target }),
@@ -490,14 +535,14 @@ impl Runtime {
     }
 
     fn restore_site(&mut self, m: &mut Machine, si: usize) -> Result<(), RtError> {
-        if self.sites[si].binding == SiteBinding::Original {
+        if self.sites[si] == SiteBinding::Original {
             return Ok(());
         }
-        let site = self.sites[si].desc.site;
-        let original = self.sites[si].original.clone();
+        let site = self.tables.sites[si].desc.site;
+        let original = self.tables.sites[si].original.clone();
         self.write_text(m, site, &original)?;
         self.stats.sites_patched += 1;
-        self.sites[si].binding = SiteBinding::Original;
+        self.sites[si] = SiteBinding::Original;
         self.emit(|| EventKind::SiteRestored { site });
         Ok(())
     }
@@ -509,9 +554,9 @@ impl Runtime {
         vi: usize,
     ) -> Result<usize, RtError> {
         let (generic, generic_size, v_addr, v_inline) = {
-            let f = &self.fns[fi];
-            let v = &f.desc.variants[vi];
-            (f.desc.generic, f.desc.generic_size, v.addr, v.inline_len)
+            let f = &self.tables.fns[fi];
+            let v = &f.variants[vi];
+            (f.generic, f.generic_size, v.addr, v.inline_len)
         };
         // Completeness patching needs room for the entry jump; checked
         // up front so the error surfaces before any call site is touched
@@ -526,7 +571,12 @@ impl Runtime {
         // EntryOnly strategy leaves them aimed at the generic entry, where
         // the jump redirects them).
         let site_idxs = match self.strategy {
-            PatchStrategy::CallSites => self.sites_of.get(&generic).cloned().unwrap_or_default(),
+            PatchStrategy::CallSites => self
+                .tables
+                .sites_of
+                .get(&generic)
+                .cloned()
+                .unwrap_or_default(),
             PatchStrategy::EntryOnly => Vec::new(),
         };
         let inline = if self.inline_enabled && v_inline != NOT_INLINABLE {
@@ -566,8 +616,13 @@ impl Runtime {
     }
 
     pub(crate) fn revert_fn_idx(&mut self, m: &mut Machine, fi: usize) -> Result<usize, RtError> {
-        let generic = self.fns[fi].desc.generic;
-        let site_idxs = self.sites_of.get(&generic).cloned().unwrap_or_default();
+        let generic = self.tables.fns[fi].generic;
+        let site_idxs = self
+            .tables
+            .sites_of
+            .get(&generic)
+            .cloned()
+            .unwrap_or_default();
         for si in &site_idxs {
             self.restore_site(m, *si)?;
         }
@@ -594,11 +649,16 @@ impl Runtime {
         // If the pointee is a described function with an inlinable body,
         // inline it into the sites (PV-Ops style); otherwise bind a direct
         // call.
-        let inline = self.fn_by_addr.get(&target).and_then(|&fi| {
-            let il = self.fns[fi].desc.generic_inline_len;
+        let inline = self.tables.fn_by_addr.get(&target).and_then(|&fi| {
+            let il = self.tables.fns[fi].generic_inline_len;
             (self.inline_enabled && il != NOT_INLINABLE).then_some((target, il))
         });
-        let site_idxs = self.sites_of.get(&var_addr).cloned().unwrap_or_default();
+        let site_idxs = self
+            .tables
+            .sites_of
+            .get(&var_addr)
+            .cloned()
+            .unwrap_or_default();
         for si in &site_idxs {
             self.patch_site_to(m, *si, target, inline)?;
             report.fnptr_sites += 1;
@@ -612,7 +672,12 @@ impl Runtime {
         m: &mut Machine,
         var_addr: u64,
     ) -> Result<usize, RtError> {
-        let site_idxs = self.sites_of.get(&var_addr).cloned().unwrap_or_default();
+        let site_idxs = self
+            .tables
+            .sites_of
+            .get(&var_addr)
+            .cloned()
+            .unwrap_or_default();
         for si in &site_idxs {
             self.restore_site(m, *si)?;
         }
@@ -656,7 +721,7 @@ impl Runtime {
     /// function-pointer switch, its call sites). Transactional like
     /// [`Runtime::commit`].
     pub fn commit_refs(&mut self, m: &mut Machine, var_addr: u64) -> Result<CommitReport, RtError> {
-        if !self.var_by_addr.contains_key(&var_addr) {
+        if !self.tables.var_by_addr.contains_key(&var_addr) {
             return Err(RtError::UnknownVariable(var_addr));
         }
         self.timed(m, TxnOp::CommitRefs(var_addr))
@@ -665,7 +730,7 @@ impl Runtime {
     /// `multiverse_revert_refs(&var)`. Transactional like
     /// [`Runtime::commit`].
     pub fn revert_refs(&mut self, m: &mut Machine, var_addr: u64) -> Result<CommitReport, RtError> {
-        if !self.var_by_addr.contains_key(&var_addr) {
+        if !self.tables.var_by_addr.contains_key(&var_addr) {
             return Err(RtError::UnknownVariable(var_addr));
         }
         self.timed(m, TxnOp::RevertRefs(var_addr))
@@ -674,7 +739,7 @@ impl Runtime {
     /// `multiverse_commit_func(&fn)`: commit a single function by its
     /// generic entry address. Transactional like [`Runtime::commit`].
     pub fn commit_func(&mut self, m: &mut Machine, fn_addr: u64) -> Result<CommitReport, RtError> {
-        if !self.fn_by_addr.contains_key(&fn_addr) {
+        if !self.tables.fn_by_addr.contains_key(&fn_addr) {
             return Err(RtError::UnknownFunction(fn_addr));
         }
         self.timed(m, TxnOp::CommitFunc(fn_addr))
@@ -683,15 +748,14 @@ impl Runtime {
     /// `multiverse_revert_func(&fn)`. Transactional like
     /// [`Runtime::commit`].
     pub fn revert_func(&mut self, m: &mut Machine, fn_addr: u64) -> Result<CommitReport, RtError> {
-        if !self.fn_by_addr.contains_key(&fn_addr) {
+        if !self.tables.fn_by_addr.contains_key(&fn_addr) {
             return Err(RtError::UnknownFunction(fn_addr));
         }
         self.timed(m, TxnOp::RevertFunc(fn_addr))
     }
 
     pub(crate) fn references_var(&self, fi: usize, var_addr: u64) -> bool {
-        self.fns[fi]
-            .desc
+        self.tables.fns[fi]
             .variants
             .iter()
             .any(|v| v.guards.iter().any(|g| g.var_addr == var_addr))

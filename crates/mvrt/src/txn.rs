@@ -193,7 +193,7 @@ impl Action {
     fn function(&self, rt: &Runtime) -> Option<u64> {
         match *self {
             Action::Install { fi, .. } | Action::RevertFn { fi, .. } => {
-                Some(rt.fns[fi].desc.generic)
+                Some(rt.tables.fns[fi].generic)
             }
             Action::BindFnPtr { .. } | Action::RevertFnPtr { .. } => None,
         }
@@ -384,9 +384,9 @@ impl Runtime {
                 for fi in 0..self.fns.len() {
                     self.plan_commit_fn(m, fi, &mut plan)?;
                 }
-                for vi in 0..self.vars.len() {
-                    let var_addr = self.vars[vi].addr;
-                    if self.vars[vi].fn_ptr && self.sites_of.contains_key(&var_addr) {
+                for vi in 0..self.tables.vars.len() {
+                    let var_addr = self.tables.vars[vi].addr;
+                    if self.tables.vars[vi].fn_ptr && self.tables.sites_of.contains_key(&var_addr) {
                         self.plan_bind_fnptr(m, var_addr, &mut plan);
                     }
                 }
@@ -398,18 +398,19 @@ impl Runtime {
                         fallback: false,
                     });
                 }
-                for v in &self.vars {
-                    if v.fn_ptr && self.sites_of.contains_key(&v.addr) {
+                for v in &self.tables.vars {
+                    if v.fn_ptr && self.tables.sites_of.contains_key(&v.addr) {
                         plan.actions.push(Action::RevertFnPtr { var_addr: v.addr });
                     }
                 }
             }
             TxnOp::CommitRefs(var_addr) => {
                 let &vi = self
+                    .tables
                     .var_by_addr
                     .get(&var_addr)
                     .ok_or(RtError::UnknownVariable(var_addr))?;
-                if self.vars[vi].fn_ptr {
+                if self.tables.vars[vi].fn_ptr {
                     self.plan_bind_fnptr(m, var_addr, &mut plan);
                 } else {
                     for fi in 0..self.fns.len() {
@@ -421,10 +422,11 @@ impl Runtime {
             }
             TxnOp::RevertRefs(var_addr) => {
                 let &vi = self
+                    .tables
                     .var_by_addr
                     .get(&var_addr)
                     .ok_or(RtError::UnknownVariable(var_addr))?;
-                if self.vars[vi].fn_ptr {
+                if self.tables.vars[vi].fn_ptr {
                     plan.actions.push(Action::RevertFnPtr { var_addr });
                 } else {
                     for fi in 0..self.fns.len() {
@@ -439,6 +441,7 @@ impl Runtime {
             }
             TxnOp::CommitFunc(fn_addr) => {
                 let &fi = self
+                    .tables
                     .fn_by_addr
                     .get(&fn_addr)
                     .ok_or(RtError::UnknownFunction(fn_addr))?;
@@ -446,6 +449,7 @@ impl Runtime {
             }
             TxnOp::RevertFunc(fn_addr) => {
                 let &fi = self
+                    .tables
                     .fn_by_addr
                     .get(&fn_addr)
                     .ok_or(RtError::UnknownFunction(fn_addr))?;
@@ -470,13 +474,13 @@ impl Runtime {
         fi: usize,
         plan: &mut TxnPlan,
     ) -> Result<(), RtError> {
-        if self.fns[fi].desc.variants.is_empty() {
+        if self.tables.fns[fi].variants.is_empty() {
             return Ok(());
         }
-        let generic = self.fns[fi].desc.generic;
+        let generic = self.tables.fns[fi].generic;
         match self.select_variant(m, fi) {
             Ok(Some(vi)) => {
-                let v_addr = self.fns[fi].desc.variants[vi].addr;
+                let v_addr = self.tables.fns[fi].variants[vi].addr;
                 if self.fns[fi].binding == FnBinding::Variant(v_addr) {
                     if self.commit_fn_unchanged(m, fi, vi) {
                         let sites = match self.strategy {
@@ -552,22 +556,22 @@ impl Runtime {
     /// reports "changed", so the install runs and surfaces the problem
     /// through the normal validate/apply machinery.
     fn commit_fn_unchanged(&self, m: &Machine, fi: usize, vi: usize) -> bool {
-        let f = &self.fns[fi];
-        let v = &f.desc.variants[vi];
-        if f.saved_prologue.is_none() {
+        let f = &self.tables.fns[fi];
+        let v = &f.variants[vi];
+        if self.fns[fi].saved_prologue.is_none() {
             return false;
         }
-        let Ok(jmp) = self.abi().encode_jmp(f.desc.generic, v.addr) else {
+        let Ok(jmp) = self.abi().encode_jmp(f.generic, v.addr) else {
             return false;
         };
-        match m.mem.read_vec(f.desc.generic, self.abi().call_site_len()) {
+        match m.mem.read_vec(f.generic, self.abi().call_site_len()) {
             Ok(cur) if cur == jmp => {}
             _ => return false,
         }
         if self.strategy == PatchStrategy::CallSites {
-            if let Some(idxs) = self.sites_of.get(&f.desc.generic) {
+            if let Some(idxs) = self.tables.sites_of.get(&f.generic) {
                 for &si in idxs {
-                    let s = &self.sites[si];
+                    let s = &self.tables.sites[si];
                     let expected = if self.inline_enabled
                         && v.inline_len != NOT_INLINABLE
                         && (v.inline_len as usize) <= s.len
@@ -576,7 +580,7 @@ impl Runtime {
                     } else {
                         SiteBinding::Call(v.addr)
                     };
-                    if s.binding != expected || self.check_site_patchable(m, si).is_err() {
+                    if self.sites[si] != expected || self.check_site_patchable(m, si).is_err() {
                         return false;
                     }
                 }
@@ -593,10 +597,10 @@ impl Runtime {
         if f.saved_prologue.is_some() || f.binding != FnBinding::Generic {
             return false;
         }
-        match self.sites_of.get(&f.desc.generic) {
+        match self.tables.sites_of.get(&self.tables.fns[fi].generic) {
             Some(idxs) => idxs
                 .iter()
-                .all(|&si| self.sites[si].binding == SiteBinding::Original),
+                .all(|&si| self.sites[si] == SiteBinding::Original),
             None => true,
         }
     }
@@ -611,20 +615,21 @@ impl Runtime {
         if target == 0 {
             return false;
         }
-        let inline = self.fn_by_addr.get(&target).and_then(|&fi| {
-            let il = self.fns[fi].desc.generic_inline_len;
+        let inline = self.tables.fn_by_addr.get(&target).and_then(|&fi| {
+            let il = self.tables.fns[fi].generic_inline_len;
             (self.inline_enabled && il != NOT_INLINABLE).then_some(il)
         });
-        let Some(idxs) = self.sites_of.get(&var_addr) else {
+        let Some(idxs) = self.tables.sites_of.get(&var_addr) else {
             return true;
         };
         for &si in idxs {
-            let s = &self.sites[si];
             let expected = match inline {
-                Some(il) if (il as usize) <= s.len => SiteBinding::Inlined(target),
+                Some(il) if (il as usize) <= self.tables.sites[si].len => {
+                    SiteBinding::Inlined(target)
+                }
                 _ => SiteBinding::Call(target),
             };
-            if s.binding != expected || self.check_site_patchable(m, si).is_err() {
+            if self.sites[si] != expected || self.check_site_patchable(m, si).is_err() {
                 return false;
             }
         }
@@ -660,11 +665,11 @@ impl Runtime {
     /// knows it wrote (or found at attach), which is both stricter and
     /// cheaper than re-decoding the instruction.
     fn check_site_patchable(&self, m: &Machine, si: usize) -> Result<(), RtError> {
-        let s = &self.sites[si];
+        let s = &self.tables.sites[si];
         let mut current = [0u8; crate::journal::MAX_SPAN];
         let current = &mut current[..s.len];
         m.mem.read(s.desc.site, current)?;
-        let ok = match s.binding {
+        let ok = match self.sites[si] {
             // Untouched: must still hold the exact attach-time bytes
             // (covers direct and indirect originals alike).
             SiteBinding::Original => current == &s.original[..],
@@ -705,34 +710,34 @@ impl Runtime {
     }
 
     fn validate_install(&self, m: &Machine, fi: usize, vi: usize) -> Result<(), RtError> {
-        let f = &self.fns[fi];
-        let v = &f.desc.variants[vi];
+        let f = &self.tables.fns[fi];
+        let v = &f.variants[vi];
         let abi = self.abi();
         // Completeness patching needs room for the entry jump.
-        if f.desc.generic_size < abi.call_site_len() as u32 {
+        if f.generic_size < abi.call_site_len() as u32 {
             return Err(RtError::GenericTooSmall {
-                function: f.desc.generic,
-                size: f.desc.generic_size,
+                function: f.generic,
+                size: f.generic_size,
             });
         }
         // Entry prologue must be readable, executable text, and the
         // variant must be within rel32 reach of the entry jump.
-        m.mem.read_vec(f.desc.generic, abi.call_site_len())?;
-        self.check_exec(m, f.desc.generic)?;
-        abi.encode_jmp(f.desc.generic, v.addr)?;
+        m.mem.read_vec(f.generic, abi.call_site_len())?;
+        self.check_exec(m, f.generic)?;
+        abi.encode_jmp(f.generic, v.addr)?;
         // The variant body must be readable if it may be inlined.
         let may_inline = self.inline_enabled && v.inline_len != NOT_INLINABLE;
         if may_inline {
             m.mem.read_vec(v.addr, v.inline_len as usize)?;
         }
         if self.strategy == PatchStrategy::CallSites {
-            if let Some(idxs) = self.sites_of.get(&f.desc.generic) {
+            if let Some(idxs) = self.tables.sites_of.get(&f.generic) {
                 for &si in idxs {
                     self.check_site_patchable(m, si)?;
                     // Sites that will be rewritten (not inlined) must be
                     // within rel32 reach of the variant.
-                    if !(may_inline && (v.inline_len as usize) <= self.sites[si].len) {
-                        abi.encode_call(self.sites[si].desc.site, v.addr)?;
+                    if !(may_inline && (v.inline_len as usize) <= self.tables.sites[si].len) {
+                        abi.encode_call(self.tables.sites[si].desc.site, v.addr)?;
                     }
                 }
             }
@@ -741,19 +746,19 @@ impl Runtime {
     }
 
     fn validate_revert_fn(&self, m: &Machine, fi: usize) -> Result<(), RtError> {
-        let f = &self.fns[fi];
-        if let Some(idxs) = self.sites_of.get(&f.desc.generic) {
+        let generic = self.tables.fns[fi].generic;
+        if let Some(idxs) = self.tables.sites_of.get(&generic) {
             for &si in idxs {
-                if self.sites[si].binding != SiteBinding::Original {
+                if self.sites[si] != SiteBinding::Original {
                     m.mem
-                        .read_vec(self.sites[si].desc.site, self.sites[si].len)?;
-                    self.check_exec(m, self.sites[si].desc.site)?;
+                        .read_vec(self.tables.sites[si].desc.site, self.tables.sites[si].len)?;
+                    self.check_exec(m, self.tables.sites[si].desc.site)?;
                 }
             }
         }
-        if f.saved_prologue.is_some() {
-            m.mem.read_vec(f.desc.generic, self.abi().call_site_len())?;
-            self.check_exec(m, f.desc.generic)?;
+        if self.fns[fi].saved_prologue.is_some() {
+            m.mem.read_vec(generic, self.abi().call_site_len())?;
+            self.check_exec(m, generic)?;
         }
         Ok(())
     }
@@ -764,18 +769,19 @@ impl Runtime {
             return Err(RtError::BadFnPtrTarget { var_addr, target });
         }
         let mut inline_len = None;
-        if let Some(&fi) = self.fn_by_addr.get(&target) {
-            let il = self.fns[fi].desc.generic_inline_len;
+        if let Some(&fi) = self.tables.fn_by_addr.get(&target) {
+            let il = self.tables.fns[fi].generic_inline_len;
             if self.inline_enabled && il != NOT_INLINABLE {
                 m.mem.read_vec(target, il as usize)?;
                 inline_len = Some(il);
             }
         }
-        if let Some(idxs) = self.sites_of.get(&var_addr) {
+        if let Some(idxs) = self.tables.sites_of.get(&var_addr) {
             for &si in idxs {
                 self.check_site_patchable(m, si)?;
-                if inline_len.is_none_or(|il| (il as usize) > self.sites[si].len) {
-                    self.abi().encode_call(self.sites[si].desc.site, target)?;
+                if inline_len.is_none_or(|il| (il as usize) > self.tables.sites[si].len) {
+                    self.abi()
+                        .encode_call(self.tables.sites[si].desc.site, target)?;
                 }
             }
         }
@@ -783,12 +789,12 @@ impl Runtime {
     }
 
     fn validate_revert_fnptr(&self, m: &Machine, var_addr: u64) -> Result<(), RtError> {
-        if let Some(idxs) = self.sites_of.get(&var_addr) {
+        if let Some(idxs) = self.tables.sites_of.get(&var_addr) {
             for &si in idxs {
-                if self.sites[si].binding != SiteBinding::Original {
+                if self.sites[si] != SiteBinding::Original {
                     m.mem
-                        .read_vec(self.sites[si].desc.site, self.sites[si].len)?;
-                    self.check_exec(m, self.sites[si].desc.site)?;
+                        .read_vec(self.tables.sites[si].desc.site, self.tables.sites[si].len)?;
+                    self.check_exec(m, self.tables.sites[si].desc.site)?;
                 }
             }
         }
@@ -797,7 +803,7 @@ impl Runtime {
 
     fn snapshot_state(&self) -> StateSnapshot {
         StateSnapshot {
-            site_bindings: self.sites.iter().map(|s| s.binding).collect(),
+            site_bindings: self.sites.clone(),
             fn_states: self
                 .fns
                 .iter()
@@ -810,9 +816,7 @@ impl Runtime {
     }
 
     fn restore_state(&mut self, snap: StateSnapshot) {
-        for (s, b) in self.sites.iter_mut().zip(snap.site_bindings) {
-            s.binding = b;
-        }
+        self.sites = snap.site_bindings;
         for (f, (b, p)) in self.fns.iter_mut().zip(snap.fn_states) {
             f.binding = b;
             f.saved_prologue = p.map(|s| s.to_vec());
@@ -1043,17 +1047,17 @@ impl Runtime {
     /// `mvcc verify` health report.
     pub fn validate(&self, m: &Machine) -> ValidationReport {
         let mut report = ValidationReport::default();
-        for (fi, f) in self.fns.iter().enumerate() {
+        for (fi, (f, desc)) in self.fns.iter().zip(&self.tables.fns).enumerate() {
             let mut health = FnHealth {
-                generic: f.desc.generic,
+                generic: desc.generic,
                 binding: f.binding,
                 selected: None,
                 issue: None,
             };
-            if !f.desc.variants.is_empty() {
+            if !desc.variants.is_empty() {
                 match self.select_variant(m, fi) {
                     Ok(Some(vi)) => {
-                        health.selected = Some(f.desc.variants[vi].addr);
+                        health.selected = Some(desc.variants[vi].addr);
                         health.issue = self
                             .validate_install(m, fi, vi)
                             .err()
@@ -1067,7 +1071,7 @@ impl Runtime {
             }
             report.functions.push(health);
         }
-        for (si, s) in self.sites.iter().enumerate() {
+        for (si, (&binding, s)) in self.sites.iter().zip(&self.tables.sites).enumerate() {
             let issue = self
                 .check_site_patchable(m, si)
                 .err()
@@ -1075,7 +1079,7 @@ impl Runtime {
             report.sites.push(SiteHealth {
                 site: s.desc.site,
                 callee: s.desc.callee,
-                patched: s.binding != SiteBinding::Original,
+                patched: binding != SiteBinding::Original,
                 issue,
             });
         }

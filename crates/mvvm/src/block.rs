@@ -18,9 +18,11 @@
 //! * in normal (non-sticky) mode a block is served only while all its
 //!   recorded generations still match — a commit patch followed by
 //!   [`crate::Memory::flush_icache`] invalidates exactly the blocks whose
-//!   pages were flushed, nothing else. The [`crate::Memory::flush_epoch`]
-//!   counter provides an O(1) "nothing flushed since validation" fast
-//!   path;
+//!   pages were flushed, nothing else. The memory's `(id, flush_epoch)`
+//!   pair ([`crate::Memory::id`], [`crate::Memory::flush_epoch`])
+//!   provides an O(1) "nothing flushed since validation" fast path; the
+//!   identity is part of the key because a forked machine shares its
+//!   blocks, and two forks can reach the same epoch over different text;
 //! * in sticky-icache mode (the SMP machine's private per-CPU icaches)
 //!   version checks are skipped entirely; only an explicit shootdown
 //!   ([`crate::SmpMachine::flush_remote`] →
@@ -31,6 +33,7 @@
 
 use mvasm::{AluOp, Insn};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
@@ -97,10 +100,12 @@ pub struct DecodedBlock {
     /// cannot fault, halt, transfer control, or observe `tsc`/[`crate::Stats`],
     /// and nothing else can observe machine state mid-quantum.
     pub fast_runs: Vec<u32>,
-    /// [`crate::Memory::flush_epoch`] at the last successful validation:
-    /// while the global epoch still matches, no page generation anywhere
-    /// can have moved, so the per-page comparison is skipped.
-    pub(crate) epoch: Cell<u64>,
+    /// The validating memory's `(id, flush_epoch)` ([`crate::Memory::id`],
+    /// [`crate::Memory::flush_epoch`]) at the last successful validation:
+    /// while that memory's epoch still matches, no page generation in it
+    /// can have moved, so the per-page comparison is skipped. Another
+    /// memory (a fork) never matches, whatever its epoch.
+    pub(crate) epoch: Cell<(u64, u64)>,
 }
 
 impl DecodedBlock {
@@ -177,6 +182,16 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`]-keyed maps.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// Empties a map that forks may share: in place, keeping its
+/// allocation, when this is the only handle; otherwise by letting go of
+/// the shared one.
+pub(crate) fn clear_shared<K, V>(map: &mut Rc<HashMap<K, V, FxBuildHasher>>) {
+    match Rc::get_mut(map) {
+        Some(m) => m.clear(),
+        None => *map = Rc::default(),
+    }
+}
+
 /// Monotone counters of one block cache (see
 /// [`crate::tier0::BlockCache`]): hits, misses (= recordings),
 /// evictions (stale or shot down) and superblock promotions. Mirrored
@@ -231,7 +246,7 @@ mod tests {
             ops,
             pages: vec![(0, 0)],
             superblock: false,
-            epoch: Cell::new(0),
+            epoch: Cell::new((0, 0)),
         };
         assert!(b.overlaps(0x100, 0x101));
         assert!(b.overlaps(0x104, 0x200));

@@ -8,8 +8,8 @@
 //! profiles, fault points — is identical across tiers by construction.
 
 use crate::block::{
-    BlockCacheStats, DecodedBlock, ExecTier, FxBuildHasher, MAX_BLOCK_INSTS, MAX_SUPERBLOCK_FUSES,
-    MAX_SUPERBLOCK_INSTS,
+    clear_shared, BlockCacheStats, DecodedBlock, ExecTier, FxBuildHasher, MAX_BLOCK_INSTS,
+    MAX_SUPERBLOCK_FUSES, MAX_SUPERBLOCK_INSTS,
 };
 use crate::cost::CostModel;
 use crate::cpu::Cpu;
@@ -31,6 +31,12 @@ use std::rc::Rc;
 /// the first page alone would let an instruction straddling a page
 /// boundary survive a flush of its tail page.
 type CachedDecode = (Insn, u64, u64);
+
+/// The per-instruction decode cache. Shared by `Rc` with forks of the
+/// machine and copied on the first insert or eviction in either one —
+/// safe because every entry is checked against the page generations of
+/// the memory that serves it.
+type DecodeCache = Rc<HashMap<u64, CachedDecode, FxBuildHasher>>;
 
 /// Unicore or multicore operation — switches the cost of bus-locked
 /// atomics, modelling the UP/SMP distinction of the spinlock case study.
@@ -169,7 +175,7 @@ pub struct Machine {
     pub stats: Stats,
     config: MachineConfig,
     out: Vec<u8>,
-    decode_cache: HashMap<u64, CachedDecode, FxBuildHasher>,
+    decode_cache: DecodeCache,
     /// Which execution engine runs (shared by all vCPUs of an SMP
     /// machine — the tier is machine state, not per-CPU state).
     tier: ExecTier,
@@ -212,7 +218,7 @@ pub struct CpuContext {
     /// Private event counters; roll up machine-wide with `AddAssign`.
     pub stats: Stats,
     /// Private decoded-instruction cache (the icache model).
-    pub decode_cache: HashMap<u64, CachedDecode, FxBuildHasher>,
+    pub decode_cache: DecodeCache,
     /// Private decoded-block cache (the tiered engine's icache model).
     pub blocks: BlockCache,
     /// Pending cmp→jcc macro-fusion point.
@@ -237,7 +243,7 @@ impl Machine {
             stats: Stats::default(),
             config,
             out: Vec::new(),
-            decode_cache: HashMap::default(),
+            decode_cache: DecodeCache::default(),
             tier: ExecTier::Tierless,
             blocks: BlockCache::default(),
             natives: NativeRegistry::default(),
@@ -255,10 +261,43 @@ impl Machine {
         m
     }
 
+    /// A copy of this machine that runs on from the same state: CPU,
+    /// statistics, predictors, cost model, configuration, output buffer,
+    /// tier and sticky-icache mode, over a copy-on-write
+    /// [`Memory::fork`] of guest memory (fault plan with its trip
+    /// counts and flush epoch included). The decode cache, block cache
+    /// and native regions are shared by `Rc`, not rebuilt; each side
+    /// copies one on its first change, and the fork's fresh
+    /// [`Memory::id`] keeps a validation made by one side from vouching
+    /// for the other's text.
+    ///
+    /// The fork does not inherit a tracer or profiler; enable them on
+    /// it if wanted. Cost: one page-table entry per mapped page plus the
+    /// predictor tables.
+    pub fn fork(&self) -> Machine {
+        Machine {
+            mem: self.mem.fork(),
+            cpu: self.cpu.clone(),
+            cost: self.cost,
+            pred: self.pred.clone(),
+            stats: self.stats,
+            config: self.config,
+            out: self.out.clone(),
+            decode_cache: Rc::clone(&self.decode_cache),
+            tier: self.tier,
+            blocks: self.blocks.clone(),
+            natives: self.natives.clone(),
+            fusable_at: self.fusable_at,
+            sticky_icache: self.sticky_icache,
+            trace: None,
+            profiler: None,
+        }
+    }
+
     /// Maps all segments of a linked executable.
     pub fn load(&mut self, exe: &Executable) {
         self.mem.load(exe);
-        self.decode_cache.clear();
+        clear_shared(&mut self.decode_cache);
         self.blocks.reset();
         self.natives.clear();
     }
@@ -364,14 +403,14 @@ impl Machine {
     /// plant therefore splits/evicts the blocks spanning it), and
     /// nothing else.
     pub fn invalidate_decode_range(&mut self, start: u64, end: u64) {
-        self.decode_cache.retain(|&pc, _| pc < start || pc >= end);
+        Rc::make_mut(&mut self.decode_cache).retain(|&pc, _| pc < start || pc >= end);
         self.blocks.invalidate_range(start, end);
         self.natives.invalidate_overlapping(start, end);
     }
 
     /// Drops every cached decoded instruction and block of this CPU.
     pub fn invalidate_decode_all(&mut self) {
-        self.decode_cache.clear();
+        clear_shared(&mut self.decode_cache);
         self.blocks.invalidate_all();
         self.natives.clear();
     }
@@ -506,8 +545,8 @@ impl Machine {
         let mut buf = [0u8; 16];
         let n = self.mem.fetch(pc, &mut buf)?;
         let (insn, _) = mvasm::decode(&buf[..n]).map_err(|err| Fault::Decode { addr: pc, err })?;
-        self.decode_cache
-            .insert(pc, (insn, version, self.tail_version(pc, insn, version)));
+        let tail = self.tail_version(pc, insn, version);
+        Rc::make_mut(&mut self.decode_cache).insert(pc, (insn, version, tail));
         Ok(insn)
     }
 
@@ -1043,7 +1082,7 @@ impl Machine {
     /// was lowered from keeps its `code_version`, with the same O(1)
     /// flush-epoch fast path the block caches use.
     fn native_valid(&self, nf: &NativeFn) -> bool {
-        let epoch = self.mem.flush_epoch();
+        let epoch = (self.mem.id(), self.mem.flush_epoch());
         if nf.epoch.get() == epoch {
             return true;
         }
@@ -1271,7 +1310,7 @@ impl Machine {
                 ops,
                 pages,
                 superblock,
-                epoch: Cell::new(self.mem.flush_epoch()),
+                epoch: Cell::new((self.mem.id(), self.mem.flush_epoch())),
             });
             self.blocks.insert(entry, block);
         }
@@ -1302,7 +1341,7 @@ impl Machine {
         if self.sticky_icache {
             return true;
         }
-        let epoch = self.mem.flush_epoch();
+        let epoch = (self.mem.id(), self.mem.flush_epoch());
         if b.epoch.get() == epoch {
             return true;
         }

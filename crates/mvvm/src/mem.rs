@@ -11,12 +11,25 @@
 //! Pages are demand-backed: [`Memory::map`] records protection only and
 //! a page's 4 KiB are allocated on its first write. Reads and fetches of
 //! a never-written page see zeros, exactly as a zero-filled page would.
+//!
+//! Backed pages are copy-on-write: [`Memory::fork`] copies the page
+//! table but shares every page's bytes, and the first write to a shared
+//! page in either memory copies it. The write path pays one reference
+//! count check for this; the copy happens after the protection check
+//! and the fault plan, so a refused write copies nothing.
+//!
+//! Every memory has a process-unique [`Memory::id`]; a fork gets a fresh
+//! one. Caches that outlive a fork key their "nothing flushed since"
+//! fast path on `(id, flush_epoch)`, never on the epoch alone, because
+//! two forks can count the same number of flushes over different text.
 
 use crate::block::FxBuildHasher;
 use crate::fault::{FaultOp, FaultPlan};
 use mvobj::{Executable, Prot};
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Page size of the guest address space. Matches the linker's default so
 /// each section's protection can be changed independently.
@@ -67,9 +80,11 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+#[derive(Clone)]
 struct Page {
-    /// `None` until the first write backs the page (see module docs).
-    bytes: Option<Box<[u8; PAGE_BYTES]>>,
+    /// `None` until the first write backs the page; shared with forks
+    /// until either side writes (see module docs).
+    bytes: Option<Rc<[u8; PAGE_BYTES]>>,
     prot: Prot,
     /// Bumped by [`Memory::flush_icache`]; the CPU's decode cache keys on
     /// it. Writing patched bytes without flushing leaves stale decoded
@@ -98,16 +113,11 @@ impl Page {
         self.bytes.as_deref().unwrap_or(&ZERO_PAGE)
     }
 
-    /// The page's bytes for writing, backing the page on first use.
+    /// The page's bytes for writing, backing the page on first use and
+    /// copying it if a fork still shares it.
     #[inline]
     fn bytes_mut(&mut self) -> &mut [u8; PAGE_BYTES] {
-        self.bytes.get_or_insert_with(|| {
-            // `vec!` of zeros is a zeroed allocation, not a 4 KiB memset.
-            vec![0u8; PAGE_BYTES]
-                .into_boxed_slice()
-                .try_into()
-                .expect("exactly one page")
-        })
+        Rc::make_mut(self.bytes.get_or_insert_with(|| Rc::new([0u8; PAGE_BYTES])))
     }
 }
 
@@ -126,20 +136,59 @@ fn in_page(addr: u64, len: usize) -> Option<usize> {
     (len <= PAGE_BYTES - po).then_some(po)
 }
 
-/// The guest physical/virtual memory (flat, demand-populated pages).
-#[derive(Default)]
+/// A process-unique memory identity (see [`Memory::id`]).
+fn fresh_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The guest physical/virtual memory (flat, demand-populated,
+/// copy-on-write pages).
 pub struct Memory {
     pages: HashMap<u64, Page, FxBuildHasher>,
     fault: Option<FaultPlan>,
     /// Bumped by every icache flush that takes effect (see
     /// [`Memory::flush_epoch`]).
     flush_epoch: u64,
+    id: u64,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            pages: HashMap::default(),
+            fault: None,
+            flush_epoch: 0,
+            id: fresh_id(),
+        }
+    }
 }
 
 impl Memory {
     /// Creates empty memory.
     pub fn new() -> Memory {
         Memory::default()
+    }
+
+    /// A copy-on-write copy of this memory: the same mappings,
+    /// protections, bytes, code versions, flush epoch and fault plan
+    /// (trip counts included), under a fresh [`Memory::id`]. Costs one
+    /// page-table entry per mapped page; page bytes stay shared until
+    /// either memory writes them.
+    pub fn fork(&self) -> Memory {
+        Memory {
+            pages: self.pages.clone(),
+            fault: self.fault.clone(),
+            flush_epoch: self.flush_epoch,
+            id: fresh_id(),
+        }
+    }
+
+    /// This memory's process-unique identity. [`Memory::fork`] gives
+    /// the copy a fresh one, so `(id, flush_epoch)` names one flush
+    /// history even after forks diverge.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     fn page_no(addr: u64) -> u64 {
@@ -192,10 +241,18 @@ impl Memory {
         trips(&mut self.fault, op, addr)
     }
 
-    /// Number of pages whose bytes are allocated (written at least once).
-    /// Mapped but never-written pages cost only their table entry.
+    /// Number of pages whose bytes are allocated (written at least once,
+    /// here or before a fork). Mapped but never-written pages cost only
+    /// their table entry.
     pub fn backed_pages(&self) -> usize {
         self.pages.values().filter(|p| p.bytes.is_some()).count()
+    }
+
+    /// Whether the page containing `addr` is mapped and backed.
+    pub fn is_backed(&self, addr: u64) -> bool {
+        self.pages
+            .get(&Self::page_no(addr))
+            .is_some_and(|p| p.bytes.is_some())
     }
 
     /// Whether any page in `[addr, addr+len)` is (or ever was) text.

@@ -258,9 +258,10 @@ pub struct NativeFn {
     /// `(page_number, code_version)` for every page any lowered
     /// instruction's encoding touches.
     pub pages: Vec<(u64, u64)>,
-    /// [`Memory::flush_epoch`] at the last successful validation (the
-    /// same O(1) fast path the block caches use).
-    pub epoch: Cell<u64>,
+    /// The validating memory's `(id, flush_epoch)` ([`Memory::id`],
+    /// [`Memory::flush_epoch`]) at the last successful validation — the
+    /// same O(1) fast path, keyed the same way, as the block caches use.
+    pub epoch: Cell<(u64, u64)>,
 }
 
 /// Shared handle to a lowered region.
@@ -268,9 +269,12 @@ pub type NativeRef = Rc<NativeFn>;
 
 /// The per-machine registry of lowered regions, keyed by every block
 /// entry address so execution can re-enter a region mid-function.
-#[derive(Default)]
+/// Cloning is O(1): the map is shared until either clone changes it, so
+/// a forked machine runs its parent's regions without lowering them
+/// again.
+#[derive(Clone, Default)]
 pub struct NativeRegistry {
-    map: HashMap<u64, NativeRef, FxBuildHasher>,
+    map: Rc<HashMap<u64, NativeRef, FxBuildHasher>>,
     /// Monotone tier counters (survive invalidations and `clear`).
     pub stats: NativeStats,
 }
@@ -293,15 +297,16 @@ impl NativeRegistry {
     pub fn register(&mut self, nf: NativeRef) {
         self.stats.regions += 1;
         self.stats.blocks += nf.blocks.len() as u64;
+        let map = Rc::make_mut(&mut self.map);
         for b in &nf.blocks {
-            self.map.insert(b.entry, Rc::clone(&nf));
+            map.insert(b.entry, Rc::clone(&nf));
         }
     }
 
     /// Drops the region registered from `entry` (leaves keys another
     /// region has since overwritten untouched).
     pub fn unregister(&mut self, entry: u64) {
-        self.map.retain(|_, nf| nf.entry != entry);
+        Rc::make_mut(&mut self.map).retain(|_, nf| nf.entry != entry);
     }
 
     /// Drops the region registered from `entry`, counting it as a
@@ -313,7 +318,7 @@ impl NativeRegistry {
 
     /// Keeps only regions whose registered entry satisfies `keep`.
     pub fn retain_regions(&mut self, keep: impl Fn(u64) -> bool) {
-        self.map.retain(|_, nf| keep(nf.entry));
+        Rc::make_mut(&mut self.map).retain(|_, nf| keep(nf.entry));
     }
 
     /// Drops every region whose lowered pages overlap `[start, end)` —
@@ -326,13 +331,13 @@ impl NativeRegistry {
         }
         let first = start / PAGE_SIZE;
         let last = (end - 1) / PAGE_SIZE;
-        self.map
+        Rc::make_mut(&mut self.map)
             .retain(|_, nf| !nf.pages.iter().any(|&(p, _)| p >= first && p <= last));
     }
 
     /// Drops every region.
     pub fn clear(&mut self) {
-        self.map.clear();
+        crate::block::clear_shared(&mut self.map);
     }
 
     /// Registered entry addresses (deduplicated, unordered).
@@ -665,7 +670,7 @@ pub fn lower(mem: &Memory, entry: u64) -> Option<NativeFn> {
         blocks,
         by_pc,
         pages,
-        epoch: Cell::new(mem.flush_epoch()),
+        epoch: Cell::new((mem.id(), mem.flush_epoch())),
     })
 }
 
@@ -808,7 +813,7 @@ mod tests {
             ],
             by_pc: HashMap::default(),
             pages: vec![(1, 0)],
-            epoch: Cell::new(0),
+            epoch: Cell::new((0, 0)),
         });
         reg.register(nf);
         assert!(reg.get(0x1000).is_some());

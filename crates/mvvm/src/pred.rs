@@ -15,7 +15,7 @@ use std::collections::HashMap;
 pub const RSB_DEPTH: usize = 16;
 
 /// All predictor state of the core.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Predictors {
     /// 2-bit saturating counters, keyed by branch address.
     /// 0,1 = predict not-taken; 2,3 = predict taken.

@@ -41,6 +41,7 @@ use crate::machine::{CpuContext, Fault, Machine, MachineConfig, MachineMode, RET
 use crate::stats::Stats;
 use mvasm::Reg;
 use mvobj::Executable;
+use std::rc::Rc;
 
 /// What a registered trap handler tells the scheduler to do with a
 /// vCPU that fetched a trap byte.
@@ -290,14 +291,14 @@ impl SmpMachine {
         match range {
             Some((s, e)) => {
                 for ctx in &mut self.ctxs {
-                    ctx.decode_cache.retain(|&pc, _| pc < s || pc >= e);
+                    Rc::make_mut(&mut ctx.decode_cache).retain(|&pc, _| pc < s || pc >= e);
                     ctx.blocks.invalidate_range(s, e);
                 }
                 self.machine.invalidate_decode_range(s, e);
             }
             None => {
                 for ctx in &mut self.ctxs {
-                    ctx.decode_cache.clear();
+                    crate::block::clear_shared(&mut ctx.decode_cache);
                     ctx.blocks.invalidate_all();
                 }
                 self.machine.invalidate_decode_all();

@@ -11,9 +11,15 @@
 //! even the Fx map lookup when control returns to the block just
 //! executed, and per-entry hot counters drive superblock promotion
 //! (see [`crate::ExecTier::Tiered`]).
+//!
+//! Cloning a cache is O(1): the block map and the hot counters sit
+//! behind `Rc` and are copied on the first change in either clone, so a
+//! forked machine ([`crate::Machine::fork`]) replays its parent's
+//! blocks without re-recording them.
 
-use crate::block::{BlockCacheStats, BlockRef, FxBuildHasher};
+use crate::block::{clear_shared, BlockCacheStats, BlockRef, FxBuildHasher};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Hits on a tier-0 block entry before it is re-recorded as a fused
 /// superblock.
@@ -21,11 +27,11 @@ pub const HOT_THRESHOLD: u32 = 8;
 
 /// Cache of decoded blocks keyed by entry `pc`, with a `last_block` fast
 /// path, hot counters and monotone [`BlockCacheStats`].
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct BlockCache {
-    map: HashMap<u64, BlockRef, FxBuildHasher>,
+    map: Rc<HashMap<u64, BlockRef, FxBuildHasher>>,
     last: Option<(u64, BlockRef)>,
-    hot: HashMap<u64, u32, FxBuildHasher>,
+    hot: Rc<HashMap<u64, u32, FxBuildHasher>>,
     /// Monotone hit/miss/eviction/promotion counters.
     pub stats: BlockCacheStats,
 }
@@ -47,7 +53,7 @@ impl BlockCache {
     /// Caches `block` under `pc` and makes it the `last` block.
     pub fn insert(&mut self, pc: u64, block: BlockRef) {
         self.last = Some((pc, block.clone()));
-        self.map.insert(pc, block);
+        Rc::make_mut(&mut self.map).insert(pc, block);
     }
 
     /// Remembers `block` as the most recently replayed one.
@@ -58,7 +64,7 @@ impl BlockCache {
     /// Drops the entry at `pc` (stale on re-validation), counting an
     /// eviction.
     pub fn evict(&mut self, pc: u64) {
-        if self.map.remove(&pc).is_some() {
+        if Rc::make_mut(&mut self.map).remove(&pc).is_some() {
             self.stats.evictions += 1;
         }
         if matches!(&self.last, Some((p, _)) if *p == pc) {
@@ -68,7 +74,7 @@ impl BlockCache {
 
     /// Bumps the hot counter of entry `pc`, returning the new count.
     pub fn bump_hot(&mut self, pc: u64) -> u32 {
-        let c = self.hot.entry(pc).or_insert(0);
+        let c = Rc::make_mut(&mut self.hot).entry(pc).or_insert(0);
         *c = c.saturating_add(1);
         *c
     }
@@ -88,7 +94,7 @@ impl BlockCache {
     /// Blocks elsewhere survive: no blanket clears.
     pub fn invalidate_range(&mut self, start: u64, end: u64) {
         let before = self.map.len();
-        self.map.retain(|_, b| !b.overlaps(start, end));
+        Rc::make_mut(&mut self.map).retain(|_, b| !b.overlaps(start, end));
         self.stats.evictions += (before - self.map.len()) as u64;
         if matches!(&self.last, Some((_, b)) if b.overlaps(start, end)) {
             self.last = None;
@@ -98,15 +104,15 @@ impl BlockCache {
     /// Evicts every cached block (full shootdown).
     pub fn invalidate_all(&mut self) {
         self.stats.evictions += self.map.len() as u64;
-        self.map.clear();
+        clear_shared(&mut self.map);
         self.last = None;
     }
 
     /// Forgets all blocks and heat without counting evictions — loading
     /// a fresh image is not an invalidation event.
     pub fn reset(&mut self) {
-        self.map.clear();
-        self.hot.clear();
+        clear_shared(&mut self.map);
+        clear_shared(&mut self.hot);
         self.last = None;
     }
 }
@@ -117,7 +123,6 @@ mod tests {
     use crate::block::DecodedBlock;
     use mvasm::Insn;
     use std::cell::Cell;
-    use std::rc::Rc;
 
     fn block(entry: u64, ops: &[u64]) -> BlockRef {
         let ops: Vec<(u64, Insn)> = ops.iter().map(|&pc| (pc, Insn::Nop { len: 1 })).collect();
@@ -127,7 +132,7 @@ mod tests {
             ops,
             pages: vec![(entry / crate::mem::PAGE_SIZE, 0)],
             superblock: false,
-            epoch: Cell::new(0),
+            epoch: Cell::new((0, 0)),
         })
     }
 

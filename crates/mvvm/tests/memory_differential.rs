@@ -8,6 +8,12 @@
 //! fault plan installed, must produce identical values, identical
 //! [`MemError`]s, identical protections, code versions and flush epochs,
 //! identical fault-plan trip counts and the same set of backed pages.
+//!
+//! A `Fork` op forks one of the memories ([`Memory::fork`]) and clones
+//! its model. Every later op picks one memory at random, so parents and
+//! children interleave, and each memory must keep agreeing with its own
+//! model: copy-on-write pages never leak a write, a protection change,
+//! a flush or a fault-plan trip from one side to the other.
 
 use mvobj::Prot;
 use mvvm::mem::Access;
@@ -36,6 +42,7 @@ enum Op {
     WriteUnchecked { addr: u64, len: usize, seed: u8 },
     Fetch { addr: u64, len: usize },
     Flush { addr: u64, len: u64 },
+    Fork,
 }
 
 /// The fault schedule both memories get (mirrors [`FaultPlan`]).
@@ -93,7 +100,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
         2 => (arb_addr(), prop_oneof![3 => 0usize..=16, 1 => 4090usize..4200])
             .prop_map(|(addr, len)| Op::Fetch { addr, len }),
         2 => (arb_addr(), arb_len()).prop_map(|(addr, len)| Op::Flush { addr, len: len as u64 }),
+        1 => Just(Op::Fork),
     ]
+}
+
+/// An op and the memory it hits (an index taken modulo the number of
+/// memories forked so far).
+fn arb_step() -> impl Strategy<Value = (usize, Op)> {
+    (0usize..8, arb_op())
 }
 
 fn arb_plan() -> impl Strategy<Value = Option<PlanSpec>> {
@@ -132,6 +146,7 @@ fn install(mem: &mut Memory, spec: &PlanSpec) {
     mem.set_fault_plan(plan);
 }
 
+#[derive(Clone)]
 struct RefPage {
     bytes: Vec<u8>,
     prot: Prot,
@@ -154,7 +169,7 @@ impl RefPage {
 }
 
 /// The naive reference: fully backed pages, byte-at-a-time checks.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Model {
     pages: BTreeMap<u64, RefPage>,
     epoch: u64,
@@ -309,70 +324,104 @@ impl Model {
     }
 }
 
-/// Runs `ops` on both memories, comparing every result and then the
-/// whole observable state.
-fn run(plan: &Option<PlanSpec>, ops: &[Op]) -> Result<(), TestCaseError> {
+/// Runs `ops` on the memories and their models, comparing every result
+/// and then the whole observable state of each memory.
+fn run(plan: &Option<PlanSpec>, ops: &[(usize, Op)]) -> Result<(), TestCaseError> {
     let mut mem = Memory::new();
     let mut model = Model::default();
     if let Some(spec) = plan {
         install(&mut mem, spec);
         model.plan = Some(spec.clone());
     }
-    for (step, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Map { page, pages, prot } => {
-                mem.map(page * PAGE_SIZE, pages * PAGE_SIZE, prot);
-                model.map(page, pages, prot);
-            }
-            Op::Mprotect { addr, len, prot } => {
-                let got = mem.mprotect(addr, len, prot);
-                prop_assert_eq!(
-                    got,
-                    model.mprotect(addr, len, prot),
-                    "step {}: {:?}",
-                    step,
-                    op
-                );
-            }
-            Op::Read { addr, len } => {
-                let got = mem.read_vec(addr, len);
-                prop_assert_eq!(got, model.read(addr, len), "step {}: {:?}", step, op);
-            }
-            Op::Write { addr, len, seed } => {
-                let data = bytes(len, seed);
-                let got = mem.write(addr, &data);
-                prop_assert_eq!(got, model.write(addr, &data), "step {}: {:?}", step, op);
-            }
-            Op::WriteUnchecked { addr, len, seed } => {
-                let data = bytes(len, seed);
-                mem.write_unchecked(addr, &data);
-                model.write_unchecked(addr, &data);
-            }
-            Op::Fetch { addr, len } => {
-                let mut buf = vec![0u8; len];
-                let got = mem.fetch(addr, &mut buf).map(|n| buf[..n].to_vec());
-                prop_assert_eq!(got, model.fetch(addr, len), "step {}: {:?}", step, op);
-            }
-            Op::Flush { addr, len } => {
-                mem.flush_icache(addr, len);
-                model.flush_icache(addr, len);
-            }
+    let mut worlds = vec![(mem, model)];
+    for (step, (pick, op)) in ops.iter().enumerate() {
+        let mut w = pick % worlds.len();
+        if let Op::Fork = op {
+            let child = (worlds[w].0.fork(), worlds[w].1.clone());
+            prop_assert!(
+                worlds.iter().all(|(m, _)| m.id() != child.0.id()),
+                "a fork has a fresh identity"
+            );
+            worlds.push(child);
+            w = worlds.len() - 1;
         }
-        prop_assert_eq!(
-            mem.flush_epoch(),
-            model.epoch,
-            "flush epoch after step {}",
-            step
-        );
-        let trips = mem.fault_plan().map(|p| (p.seen(), p.fired()));
-        prop_assert_eq!(
-            trips,
-            model.plan.as_ref().map(|_| (model.seen, model.fired)),
-            "fault-plan trips after step {}: {:?}",
-            step,
-            op
-        );
+        let (mem, model) = &mut worlds[w];
+        step_one(mem, model, step, op)?;
     }
+    for (w, (mem, model)) in worlds.iter_mut().enumerate() {
+        check_state(mem, model).map_err(|e| TestCaseError::fail(format!("memory {w}: {e}")))?;
+    }
+    Ok(())
+}
+
+/// Applies `op` to one memory and its model and compares the results,
+/// the flush epoch and the fault-plan trip counts.
+fn step_one(
+    mem: &mut Memory,
+    model: &mut Model,
+    step: usize,
+    op: &Op,
+) -> Result<(), TestCaseError> {
+    match *op {
+        Op::Map { page, pages, prot } => {
+            mem.map(page * PAGE_SIZE, pages * PAGE_SIZE, prot);
+            model.map(page, pages, prot);
+        }
+        Op::Mprotect { addr, len, prot } => {
+            let got = mem.mprotect(addr, len, prot);
+            prop_assert_eq!(
+                got,
+                model.mprotect(addr, len, prot),
+                "step {}: {:?}",
+                step,
+                op
+            );
+        }
+        Op::Read { addr, len } => {
+            let got = mem.read_vec(addr, len);
+            prop_assert_eq!(got, model.read(addr, len), "step {}: {:?}", step, op);
+        }
+        Op::Write { addr, len, seed } => {
+            let data = bytes(len, seed);
+            let got = mem.write(addr, &data);
+            prop_assert_eq!(got, model.write(addr, &data), "step {}: {:?}", step, op);
+        }
+        Op::WriteUnchecked { addr, len, seed } => {
+            let data = bytes(len, seed);
+            mem.write_unchecked(addr, &data);
+            model.write_unchecked(addr, &data);
+        }
+        Op::Fetch { addr, len } => {
+            let mut buf = vec![0u8; len];
+            let got = mem.fetch(addr, &mut buf).map(|n| buf[..n].to_vec());
+            prop_assert_eq!(got, model.fetch(addr, len), "step {}: {:?}", step, op);
+        }
+        Op::Flush { addr, len } => {
+            mem.flush_icache(addr, len);
+            model.flush_icache(addr, len);
+        }
+        Op::Fork => {}
+    }
+    prop_assert_eq!(
+        mem.flush_epoch(),
+        model.epoch,
+        "flush epoch after step {}",
+        step
+    );
+    let trips = mem.fault_plan().map(|p| (p.seen(), p.fired()));
+    prop_assert_eq!(
+        trips,
+        model.plan.as_ref().map(|_| (model.seen, model.fired)),
+        "fault-plan trips after step {}: {:?}",
+        step,
+        op
+    );
+    Ok(())
+}
+
+/// Compares protections, code versions, bytes and backing of every page
+/// in and around the window.
+fn check_state(mem: &mut Memory, model: &Model) -> Result<(), TestCaseError> {
     // Lift protections below only after the schedule is gone.
     mem.clear_fault_plan();
     for p in BASE_PAGE - 2..BASE_PAGE + WINDOW + 5 {
@@ -388,6 +437,12 @@ fn run(plan: &Option<PlanSpec>, ops: &[Op]) -> Result<(), TestCaseError> {
             mem.code_version(addr),
             pg.map_or(0, |pg| pg.version),
             "version of page {}",
+            p
+        );
+        prop_assert_eq!(
+            mem.is_backed(addr),
+            pg.is_some_and(|pg| pg.written),
+            "backing of page {}",
             p
         );
         if let Some(pg) = pg {
@@ -414,7 +469,7 @@ proptest! {
     #[test]
     fn memory_matches_reference_model(
         plan in arb_plan(),
-        ops in proptest::collection::vec(arb_op(), 1..60),
+        ops in proptest::collection::vec(arb_step(), 1..60),
     ) {
         run(&plan, &ops)?;
     }

@@ -16,14 +16,21 @@ use mv_workloads::{
     alternative, commit_storm, cpython, grep, musl, pvops, smp_contention, spinlock,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
 
 /// Runs `func(args...)` variationally on a world produced by `boot`,
 /// then replays every leaf through enumeration and the commit oracle.
+/// Each oracle must boot exactly once and fork that world per leaf.
 /// Returns the pass statistics for workload-specific assertions.
 fn differential<F>(boot: F, func: &str, args: &[u64]) -> multiverse::mvvx::VexecStats
 where
     F: Fn() -> Result<World, BuildError>,
 {
+    let boots = Cell::new(0);
+    let counted = || {
+        boots.set(boots.get() + 1);
+        boot()
+    };
     let w = boot().unwrap();
     let space = w.config_space().unwrap();
     let report = w.vexec_in(&space, func, args).unwrap();
@@ -32,15 +39,19 @@ where
         space.leaf_count(),
         "{func}: pass must cover the full cross product"
     );
-    let chk = enumerate_check_with(&boot, &space, func, args, &report).unwrap();
+    let chk = enumerate_check_with(counted, &space, func, args, &report).unwrap();
     assert_eq!(chk.leaves_checked, space.leaf_count());
+    assert_eq!(boots.replace(0), 1, "{func}: enumerate_check boots once");
     assert!(
         chk.insns >= report.stats.steps,
         "{func}: enumeration ({}) cannot be cheaper than the shared pass ({})",
         chk.insns,
         report.stats.steps
     );
-    oracle_check_with(&boot, &space, func, args, &report).unwrap();
+    let oracle = oracle_check_with(counted, &space, func, args, &report).unwrap();
+    assert_eq!(oracle.leaves_checked, space.leaf_count());
+    assert_eq!(boots.get(), 1, "{func}: oracle_check boots once");
+    assert!(oracle.insns > 0, "{func}: the oracle counts its calls");
     report.stats
 }
 
