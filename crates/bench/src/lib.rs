@@ -1227,11 +1227,15 @@ pub struct VexecRow {
     /// `true` iff every leaf's full architectural state matched its
     /// enumerated rerun (the leaf-equivalence check).
     pub equivalent: bool,
-    /// Host wall time of the variational pass, ms.
+    /// Host wall time of the variational pass, ms (median of 9 passes).
     pub vexec_ms: f64,
-    /// Host wall time of the enumeration replay (one boot, then a
-    /// [`multiverse::World::fork`] per leaf), ms.
+    /// Host wall time of the enumeration replay on the native backend
+    /// (one boot, then a [`multiverse::World::fork`] per leaf), ms
+    /// (median of 9 replays).
     pub enum_ms: f64,
+    /// The same replay on a tierless world (`Program::boot`, no
+    /// backend installed), ms (median of 9 replays).
+    pub enum_tierless_ms: f64,
     /// Host wall time of `Program::boot` + `set_backend("native")`, µs
     /// (median of 15 trials).
     pub boot_us: f64,
@@ -1244,21 +1248,27 @@ pub struct VexecRow {
 /// [`VexecRow::fork_us`].
 const WALL_TRIALS: usize = 15;
 
-/// Median host wall time of `f` over [`WALL_TRIALS`] runs, µs. What `f`
-/// returns is dropped outside the timed region.
-fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
+/// Passes behind the medians of [`VexecRow::vexec_ms`],
+/// [`VexecRow::enum_ms`] and [`VexecRow::enum_tierless_ms`].
+const PASS_TRIALS: usize = 9;
+
+/// Median host wall time of `f` over `trials` runs, µs, and what the
+/// last run returned. Earlier results are dropped outside the timed
+/// region.
+fn median_us<T>(trials: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     use std::time::Instant;
-    let mut us: Vec<f64> = (0..WALL_TRIALS)
+    let mut last = None;
+    let mut us: Vec<f64> = (0..trials)
         .map(|_| {
             let t = Instant::now();
             let out = f();
             let elapsed = t.elapsed().as_secs_f64() * 1e6;
-            drop(out);
+            last = Some(out);
             elapsed
         })
         .collect();
     us.sort_by(f64::total_cmp);
-    us[us.len() / 2]
+    (us[us.len() / 2], last.expect("at least one trial"))
 }
 
 /// E16: variational execution over the E14 compile-cost grid. Each
@@ -1266,13 +1276,12 @@ fn median_us<T>(mut f: impl FnMut() -> T) -> f64 {
 /// multiversed function) runs once under [`multiverse::World::vexec_in`]
 /// across the whole recovered cross product, and then every leaf is
 /// replayed via [`multiverse::enumerate_check_with`] on the native
-/// backend — both to certify equivalence and to price the enumeration
-/// baseline, in the same deterministic instruction currency and in host
-/// wall time. The wall-clock columns also price a native boot against a
-/// fork of it.
+/// backend and again on a tierless world — both to certify equivalence
+/// and to price the enumeration baseline, in the same deterministic
+/// instruction currency and in host wall time. The wall-clock columns
+/// also price a native boot against a fork of it.
 pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
     use multiverse::mvc::Options;
-    use std::time::Instant;
     let boot_native = |program: &Program| {
         let mut w = program.boot();
         w.set_backend("native")?;
@@ -1288,26 +1297,25 @@ pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
         let program = Program::build_with(&[("grid.c", &src)], &opts).expect("build grid");
         let w = program.boot();
         let space = w.config_space().expect("recover space");
-        let t = Instant::now();
-        let report = w.vexec_in(&space, "main", &[]).expect("vexec");
-        let vexec_ms = t.elapsed().as_secs_f64() * 1e3;
+        let (vexec_us, report) = median_us(PASS_TRIALS, || {
+            w.vexec_in(&space, "main", &[]).expect("vexec")
+        });
         assert_eq!(report.leaves.len(), space.leaf_count(), "full coverage");
-        let t = Instant::now();
-        let chk = multiverse::enumerate_check_with(
-            || boot_native(&program),
-            &space,
-            "main",
-            &[],
-            &report,
-        );
-        let enum_ms = t.elapsed().as_secs_f64() * 1e3;
-        let boot_us = median_us(|| boot_native(&program).expect("boot"));
+        let (enum_us, chk) = median_us(PASS_TRIALS, || {
+            multiverse::enumerate_check_with(|| boot_native(&program), &space, "main", &[], &report)
+        });
+        let (enum_tierless_us, tierless) = median_us(PASS_TRIALS, || {
+            multiverse::enumerate_check_with(|| Ok(program.boot()), &space, "main", &[], &report)
+        });
+        let (boot_us, _) = median_us(WALL_TRIALS, || boot_native(&program).expect("boot"));
         let base = boot_native(&program).expect("boot");
-        let fork_us = median_us(|| base.fork());
-        let (equivalent, enum_insns) = match chk {
-            Ok(c) => (c.leaves_checked == space.leaf_count(), c.insns),
-            Err(_) => (false, 0),
+        let (fork_us, _) = median_us(WALL_TRIALS, || base.fork());
+        let certified = |c: &Result<multiverse::ReplayCheck, _>| {
+            c.as_ref()
+                .is_ok_and(|c| c.leaves_checked == space.leaf_count())
         };
+        let equivalent = certified(&chk) && certified(&tierless);
+        let enum_insns = chk.map_or(0, |c| c.insns);
         let s = &report.stats;
         rows.push(VexecRow {
             config: format!("{n_funcs} fns × {domain}^{n_switches} assignments"),
@@ -1323,8 +1331,9 @@ pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
             joins: s.joins,
             max_live: s.max_live as usize,
             equivalent,
-            vexec_ms,
-            enum_ms,
+            vexec_ms: vexec_us / 1e3,
+            enum_ms: enum_us / 1e3,
+            enum_tierless_ms: enum_tierless_us / 1e3,
             boot_us,
             fork_us,
         });
@@ -1338,7 +1347,7 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<28} {:>6} {:>12} {:>12} {:>8} {:>7} {:>7} {:>5} {:>6} {:>9} {:>9} {:>9} {:>9}",
+        "{:<28} {:>6} {:>12} {:>12} {:>8} {:>7} {:>7} {:>5} {:>6} {:>9} {:>9} {:>11} {:>9} {:>9}",
         "configuration",
         "leaves",
         "shared",
@@ -1350,13 +1359,14 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
         "equiv",
         "vexec ms",
         "enum ms",
+        "tierless ms",
         "boot µs",
         "fork µs"
     );
     for r in rows {
         let _ = writeln!(
             s,
-            "{:<28} {:>6} {:>12} {:>12} {:>7.1}x {:>7} {:>7} {:>5} {:>6} {:>9.3} {:>9.3} {:>9.1} {:>9.1}",
+            "{:<28} {:>6} {:>12} {:>12} {:>7.1}x {:>7} {:>7} {:>5} {:>6} {:>9.3} {:>9.3} {:>11.3} {:>9.1} {:>9.1}",
             r.config,
             r.leaves,
             r.shared_steps,
@@ -1368,6 +1378,7 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
             if r.equivalent { "yes" } else { "NO" },
             r.vexec_ms,
             r.enum_ms,
+            r.enum_tierless_ms,
             r.boot_us,
             r.fork_us
         );
@@ -1390,6 +1401,7 @@ impl VexecRow {
             .bool("equivalent", self.equivalent)
             .raw("vexec_ms", format!("{:.3}", self.vexec_ms))
             .raw("enum_ms", format!("{:.3}", self.enum_ms))
+            .raw("enum_tierless_ms", format!("{:.3}", self.enum_tierless_ms))
             .raw("boot_us", format!("{:.1}", self.boot_us))
             .raw("fork_us", format!("{:.1}", self.fork_us));
         o

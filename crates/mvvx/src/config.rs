@@ -77,29 +77,58 @@ impl fmt::Display for SpaceError {
 
 impl std::error::Error for SpaceError {}
 
-/// A dense set of leaves, one bit per leaf.
+/// A dense set of leaves, one bit per leaf. Spaces of up to 64 leaves
+/// keep their single word inline, so no operation on them touches the
+/// heap; wider spaces hold a boxed word slice. Bits at or above the
+/// capacity are always zero.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LeafSet {
     bits: usize,
-    words: Vec<u64>,
+    words: Words,
+}
+
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Words {
+    One(u64),
+    Many(Box<[u64]>),
 }
 
 impl LeafSet {
+    /// A set over `bits` leaves whose `w`-th word is `f(w)`.
+    fn from_fn(bits: usize, mut f: impl FnMut(usize) -> u64) -> LeafSet {
+        let words = if bits <= 64 {
+            Words::One(f(0))
+        } else {
+            Words::Many((0..bits.div_ceil(64)).map(f).collect())
+        };
+        LeafSet { bits, words }
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::One(w) => std::slice::from_ref(w),
+            Words::Many(ws) => ws,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::One(w) => std::slice::from_mut(w),
+            Words::Many(ws) => ws,
+        }
+    }
+
     /// The empty set over `bits` leaves.
     pub fn empty(bits: usize) -> LeafSet {
-        LeafSet {
-            bits,
-            words: vec![0; bits.div_ceil(64)],
-        }
+        LeafSet::from_fn(bits, |_| 0)
     }
 
     /// The full set over `bits` leaves.
     pub fn full(bits: usize) -> LeafSet {
-        let mut s = LeafSet::empty(bits);
-        for i in 0..bits {
-            s.insert(i);
-        }
-        s
+        LeafSet::from_fn(bits, |w| match bits - 64 * w {
+            rest if rest >= 64 => !0,
+            rest => (1u64 << rest) - 1,
+        })
     }
 
     /// Number of leaves the set ranges over (not its cardinality).
@@ -110,65 +139,89 @@ impl LeafSet {
     /// Adds leaf `i`.
     pub fn insert(&mut self, i: usize) {
         debug_assert!(i < self.bits);
-        self.words[i / 64] |= 1u64 << (i % 64);
+        self.words_mut()[i / 64] |= 1u64 << (i % 64);
     }
 
     /// Membership test.
     pub fn contains(&self, i: usize) -> bool {
-        i < self.bits && self.words[i / 64] >> (i % 64) & 1 == 1
+        i < self.bits && self.words()[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Cardinality.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` if no leaf is present.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
+        self.words().iter().all(|w| *w == 0)
+    }
+
+    fn zip(&self, other: &LeafSet, f: impl Fn(u64, u64) -> u64) -> LeafSet {
+        debug_assert_eq!(self.bits, other.bits);
+        let (a, b) = (self.words(), other.words());
+        LeafSet::from_fn(self.bits, |w| f(a[w], b[w]))
     }
 
     /// Set intersection.
     pub fn intersect(&self, other: &LeafSet) -> LeafSet {
-        debug_assert_eq!(self.bits, other.bits);
-        LeafSet {
-            bits: self.bits,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
+        self.zip(other, |a, b| a & b)
     }
 
     /// Set union.
     pub fn union(&self, other: &LeafSet) -> LeafSet {
-        debug_assert_eq!(self.bits, other.bits);
-        LeafSet {
-            bits: self.bits,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a | b)
-                .collect(),
-        }
+        self.zip(other, |a, b| a | b)
     }
 
     /// `true` if the sets share no leaf.
     pub fn is_disjoint(&self, other: &LeafSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+        debug_assert_eq!(self.bits, other.bits);
+        self.words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & b == 0)
     }
 
-    /// Iterates the member leaves in ascending order.
+    /// Iterates the member leaves in ascending order, one step per
+    /// member rather than per leaf of the capacity.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.bits).filter(move |&i| self.contains(i))
+        self.words().iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(64 * w + bit)
+            })
+        })
     }
 
     /// The smallest member, if any.
     pub fn first(&self) -> Option<usize> {
-        self.iter().next()
+        self.words()
+            .iter()
+            .enumerate()
+            .find(|(_, w)| **w != 0)
+            .map(|(i, w)| 64 * i + w.trailing_zeros() as usize)
+    }
+
+    /// ORs `(a ∩ b) >> shift` into `self`: one word-level step of
+    /// [`ConfigSpace::project_digit0`].
+    fn or_shifted_intersection(&mut self, a: &LeafSet, b: &LeafSet, shift: usize) {
+        let (a, b) = (a.words(), b.words());
+        let (q, r) = (shift / 64, shift % 64);
+        let src = |w: usize| if w < a.len() { a[w] & b[w] } else { 0 };
+        for (w, out) in self.words_mut().iter_mut().enumerate() {
+            let lo = src(w + q) >> r;
+            let hi = if r == 0 {
+                0
+            } else {
+                src(w + q + 1) << (64 - r)
+            };
+            *out |= lo | hi;
+        }
     }
 }
 
@@ -289,20 +342,38 @@ impl ConfigSpace {
         &self.masks[sw][idx]
     }
 
-    /// Value indices of switch `sw` that occur in `set`.
-    pub fn live_digits(&self, set: &LeafSet, sw: usize) -> Vec<usize> {
-        (0..self.switches[sw].values.len())
-            .filter(|&idx| !self.masks[sw][idx].is_disjoint(set))
-            .collect()
+    /// Value indices of switch `sw` that occur in `set`, ascending.
+    pub fn live_digits<'s>(
+        &'s self,
+        set: &'s LeafSet,
+        sw: usize,
+    ) -> impl Iterator<Item = usize> + Clone + 's {
+        self.masks[sw]
+            .iter()
+            .enumerate()
+            .filter(move |(_, m)| !m.is_disjoint(set))
+            .map(|(idx, _)| idx)
     }
 
     /// Maps every leaf in `set` to its twin with digit 0 for switch `sw`
     /// ("forget switch `sw`"). Two contexts are joinable over `sw` iff
     /// their projections are equal: they then agree on every other digit.
+    ///
+    /// Word-level: a leaf with digit `i` sits `i · stride(sw)` above its
+    /// digit-0 twin, so the projection is the union over `i` of
+    /// `(set ∩ mask(sw, i)) >> i · stride(sw)`.
     pub fn project_digit0(&self, set: &LeafSet, sw: usize) -> LeafSet {
+        let (masks, stride) = (&self.masks[sw], self.strides[sw]);
+        if let Words::One(word) = set.words {
+            let projected = masks
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (i, m)| acc | (word & m.words()[0]) >> (i * stride));
+            return LeafSet::from_fn(self.leaves, |_| projected);
+        }
         let mut out = LeafSet::empty(self.leaves);
-        for leaf in set.iter() {
-            out.insert(leaf - self.digit(leaf, sw) * self.strides[sw]);
+        for (i, mask) in masks.iter().enumerate() {
+            out.or_shifted_intersection(set, mask, i * stride);
         }
         out
     }

@@ -23,22 +23,31 @@
 //! A failed join is not an error — the contexts simply stay split, which
 //! is sound but forfeits sharing.
 //!
+//! **Cost.** Split children share their parent's overlay copy-on-write
+//! and re-restrict only the overlay bytes that hold a [`Val::PerValue`].
+//! A join first checks every diverging component for joinability
+//! without building anything, and compares only the overlay chunks the
+//! two siblings no longer share. A memory access is one overlay probe:
+//! untouched memory outside the switch cells is one base read, and
+//! concrete overlay bytes assemble without a per-byte value fold.
+//!
 //! **Bail.** `rdtsc` is refused outright ([`VexecError::Unsupported`]):
 //! cycle counts are configuration-dependent in ways the shared pass does
 //! not model, so timing questions must fall back to enumeration. A fault
 //! that is concrete across a context's configurations aborts the pass
 //! with the label of one offending configuration.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use mvasm::{AluOp, Insn, Reg};
 use mvtrace::{EventKind, TraceRing};
 use mvvm::machine::{HC_CLI, HC_STI, RET_SENTINEL};
-use mvvm::mem::{extend, Access, MemError};
+use mvvm::mem::{extend, Access, MemError, PAGE_SIZE};
 use mvvm::{Fault, FxBuildHasher, Memory, Platform};
 
 use crate::config::{ConfigSpace, LeafSet};
+use crate::overlay::{Byte, Overlay};
 use crate::value::{NeedSplit, Val};
 
 /// Tuning knobs for a vexec pass.
@@ -181,9 +190,10 @@ enum Terminal {
 }
 
 /// One variational context: the state of some subset of configurations.
-#[derive(Clone)]
 struct Ctx {
     leaves: LeafSet,
+    /// `leaves.count()`: how many configurations one step stands for.
+    weight: u64,
     regs: [Val; Reg::COUNT],
     cmp: (Val, Val),
     if_flag: bool,
@@ -192,31 +202,32 @@ struct Ctx {
     /// scheduler suspends a context when its depth drops below the
     /// horizon of the split that created it — the join point.
     depth: i64,
-    /// Byte-granular memory delta over the shared base image.
-    overlay: BTreeMap<u64, Val>,
+    /// Byte-granular memory delta over the shared base image, shared
+    /// copy-on-write with the context's split siblings.
+    overlay: Overlay,
     out: Vec<Val>,
     terminal: Option<Terminal>,
 }
 
 impl Ctx {
-    /// A copy restricted to `leaves`, with every value table pruned.
+    /// A copy restricted to `leaves`, with every value table pruned. The
+    /// overlay is shared; only its symbolic bytes are re-restricted.
     fn restricted(&self, space: &ConfigSpace, leaves: LeafSet) -> Ctx {
+        let mut overlay = self.overlay.clone();
+        overlay.restrict(space, &leaves);
         Ctx {
             regs: std::array::from_fn(|i| self.regs[i].restrict(space, &leaves)),
             cmp: (
                 self.cmp.0.restrict(space, &leaves),
                 self.cmp.1.restrict(space, &leaves),
             ),
-            overlay: self
-                .overlay
-                .iter()
-                .map(|(a, v)| (*a, v.restrict(space, &leaves)))
-                .collect(),
+            overlay,
             out: self
                 .out
                 .iter()
                 .map(|v| v.restrict(space, &leaves))
                 .collect(),
+            weight: leaves.count() as u64,
             leaves,
             if_flag: self.if_flag,
             pc: self.pc,
@@ -229,6 +240,7 @@ impl Ctx {
 /// Why one instruction could not retire in the current context. Aborts
 /// leave the context unmodified, so [`Abort::Split`] can safely
 /// re-execute the instruction in the children.
+#[derive(Debug)]
 enum Abort {
     /// Materialize this switch and retry.
     Split(usize),
@@ -266,6 +278,8 @@ enum Step {
 pub struct Vexec<'a> {
     mem: &'a Memory,
     space: &'a ConfigSpace,
+    /// `(first byte, last byte, switch)` of every switch cell, by address.
+    cells: Vec<(u64, u64, usize)>,
     platform: Platform,
     opts: VexecOptions,
     trace: Option<&'a mut TraceRing>,
@@ -281,22 +295,52 @@ fn want_concrete(v: &Val) -> Result<u64, Abort> {
     }
 }
 
+/// Whether [`merge_val`] can fold `a` and `b` over switch `s`: they are
+/// equal, or neither depends on a switch other than `s`.
+fn joinable(a: &Val, b: &Val, s: usize) -> bool {
+    a == b || (a.switch().is_none_or(|w| w == s) && b.switch().is_none_or(|w| w == s))
+}
+
 /// Folds two sibling values into one table over switch `s`, given each
 /// side's live value indices. `None` means the pair is not joinable.
-fn merge_val(a: &Val, b: &Val, s: usize, da: &[usize], db: &[usize]) -> Option<Val> {
+fn merge_val(
+    a: &Val,
+    b: &Val,
+    s: usize,
+    da: impl Iterator<Item = usize>,
+    db: impl Iterator<Item = usize>,
+) -> Option<Val> {
     if a == b {
         return Some(a.clone());
     }
-    let expand = |v: &Val, ds: &[usize]| -> Option<Vec<(usize, u64)>> {
+    fn expand(
+        table: &mut Vec<(usize, u64)>,
+        v: &Val,
+        s: usize,
+        ds: impl Iterator<Item = usize>,
+    ) -> Option<()> {
         match v {
-            Val::Concrete(c) => Some(ds.iter().map(|&i| (i, *c)).collect()),
-            Val::PerValue { sw, vals } if *sw == s => Some(vals.clone()),
-            Val::PerValue { .. } => None,
+            Val::Concrete(c) => table.extend(ds.map(|i| (i, *c))),
+            Val::PerValue { sw, vals } if *sw == s => table.extend_from_slice(vals),
+            Val::PerValue { .. } => return None,
         }
-    };
-    let mut table = expand(a, da)?;
-    table.extend(expand(b, db)?);
+        Some(())
+    }
+    let mut table = Vec::new();
+    expand(&mut table, a, s, da)?;
+    expand(&mut table, b, s, db)?;
     Some(Val::per_value(s, table))
+}
+
+/// The fault an access of class `access` at `addr` gets when it runs
+/// past the top of the address space: unmapped at `addr`, as
+/// `mvvm::Memory` reports it.
+fn wraps(addr: u64, access: Access) -> Abort {
+    Abort::Fault(Fault::Mem(MemError {
+        addr,
+        access,
+        mapped: false,
+    }))
 }
 
 fn alu_f(op: AluOp, a: u64, b: u64) -> u64 {
@@ -322,9 +366,17 @@ impl<'a> Vexec<'a> {
     /// Creates an engine over a base memory image and a configuration
     /// space, with the platform deciding hypercall semantics.
     pub fn new(mem: &'a Memory, space: &'a ConfigSpace, platform: Platform) -> Vexec<'a> {
+        let mut cells: Vec<(u64, u64, usize)> = space
+            .switches()
+            .iter()
+            .enumerate()
+            .map(|(s, sw)| (sw.addr, sw.addr.saturating_add(sw.width as u64 - 1), s))
+            .collect();
+        cells.sort_unstable();
         Vexec {
             mem,
             space,
+            cells,
             platform,
             opts: VexecOptions::default(),
             trace: None,
@@ -368,12 +420,13 @@ impl<'a> Vexec<'a> {
         }
         let mut ctx = Ctx {
             leaves: self.space.full_set(),
+            weight: self.space.leaf_count() as u64,
             regs,
             cmp: (Val::Concrete(0), Val::Concrete(0)),
             if_flag,
             pc: entry,
             depth: 0,
-            overlay: BTreeMap::new(),
+            overlay: Overlay::default(),
             out: Vec::new(),
             terminal: None,
         };
@@ -450,7 +503,7 @@ impl<'a> Vexec<'a> {
                 steps: self.stats.steps,
             });
         }
-        let weight = ctx.leaves.count() as u64;
+        let weight = ctx.weight;
         match self.exec(ctx) {
             Ok(step) => {
                 // The instruction retired exactly once for every
@@ -469,10 +522,10 @@ impl<'a> Vexec<'a> {
     /// pc — the aborted instruction re-executes with the switch
     /// concrete.
     fn materialize(&mut self, ctx: &Ctx, sw: usize) -> Step {
-        let digits = self.space.live_digits(&ctx.leaves, sw);
-        let children: Vec<Ctx> = digits
-            .iter()
-            .map(|&i| ctx.restricted(self.space, self.space.mask(sw, i).intersect(&ctx.leaves)))
+        let children: Vec<Ctx> = self
+            .space
+            .live_digits(&ctx.leaves, sw)
+            .map(|i| ctx.restricted(self.space, self.space.mask(sw, i).intersect(&ctx.leaves)))
             .collect();
         self.record_split(ctx.pc, sw, children.len());
         Step::Split(children)
@@ -552,48 +605,53 @@ impl<'a> Vexec<'a> {
         None
     }
 
+    /// Folds `a` and `b` into one context over switch `s`, or `None` if
+    /// some diverging component depends on another switch. Every
+    /// component is checked before anything is built, and the overlay
+    /// compare skips the chunks the two contexts still share.
     fn merge_over(&self, a: &Ctx, b: &Ctx, s: usize) -> Option<Ctx> {
-        let da = self.space.live_digits(&a.leaves, s);
-        let db = self.space.live_digits(&b.leaves, s);
-        debug_assert!(da.iter().all(|d| !db.contains(d)), "sibling digits overlap");
-        let mut regs: Vec<Val> = Vec::with_capacity(Reg::COUNT);
-        for (ra, rb) in a.regs.iter().zip(&b.regs) {
-            regs.push(merge_val(ra, rb, s, &da, &db)?);
+        let same = |x: &Val, y: &Val| joinable(x, y, s);
+        if !(a.regs.iter().zip(&b.regs).all(|(x, y)| same(x, y))
+            && same(&a.cmp.0, &b.cmp.0)
+            && same(&a.cmp.1, &b.cmp.1)
+            && a.out.iter().zip(&b.out).all(|(x, y)| same(x, y)))
+        {
+            return None;
         }
-        let cmp = (
-            merge_val(&a.cmp.0, &b.cmp.0, s, &da, &db)?,
-            merge_val(&a.cmp.1, &b.cmp.1, s, &da, &db)?,
-        );
-        let mut out = Vec::with_capacity(a.out.len());
-        for (x, y) in a.out.iter().zip(&b.out) {
-            out.push(merge_val(x, y, s, &da, &db)?);
-        }
-        let mut overlay = BTreeMap::new();
-        for addr in a.overlay.keys().chain(b.overlay.keys()) {
-            if overlay.contains_key(addr) {
-                continue;
-            }
+        for (addr, x, y) in Overlay::diff(&a.overlay, &b.overlay) {
             // A byte one side never wrote still has a value there — the
             // symbolic-or-base read the other side would see.
-            let va = match a.overlay.get(addr) {
-                Some(v) => v.clone(),
-                None => self.read_byte(a, *addr).ok()?,
-            };
-            let vb = match b.overlay.get(addr) {
-                Some(v) => v.clone(),
-                None => self.read_byte(b, *addr).ok()?,
-            };
-            overlay.insert(*addr, merge_val(&va, &vb, s, &da, &db)?);
+            let va = self.byte_view(a, addr, x).ok()?;
+            let vb = self.byte_view(b, addr, y).ok()?;
+            if !same(&va, &vb) {
+                return None;
+            }
         }
+        let da = self.space.live_digits(&a.leaves, s);
+        let db = self.space.live_digits(&b.leaves, s);
+        debug_assert!(
+            da.clone().all(|d| db.clone().all(|e| e != d)),
+            "sibling digits overlap"
+        );
+        let merge = |x: &Val, y: &Val| {
+            merge_val(x, y, s, da.clone(), db.clone()).expect("checked joinable")
+        };
+        let overlay = Overlay::join(&a.overlay, &b.overlay, |addr, x, y| {
+            let va = self.byte_view(a, addr, x).expect("checked readable");
+            let vb = self.byte_view(b, addr, y).expect("checked readable");
+            merge(&va, &vb)
+        });
+        let leaves = a.leaves.union(&b.leaves);
         Some(Ctx {
-            leaves: a.leaves.union(&b.leaves),
-            regs: regs.try_into().expect("register count"),
-            cmp,
+            weight: leaves.count() as u64,
+            leaves,
+            regs: std::array::from_fn(|i| merge(&a.regs[i], &b.regs[i])),
+            cmp: (merge(&a.cmp.0, &b.cmp.0), merge(&a.cmp.1, &b.cmp.1)),
             if_flag: a.if_flag,
             pc: a.pc,
             depth: a.depth,
             overlay,
-            out,
+            out: a.out.iter().zip(&b.out).map(|(x, y)| merge(x, y)).collect(),
             terminal: None,
         })
     }
@@ -625,13 +683,13 @@ impl<'a> Vexec<'a> {
                     writes: ctx
                         .overlay
                         .iter()
-                        .map(|(a, v)| (*a, v.at(sp, leaf) as u8))
+                        .map(|(a, b)| (a, b.at(sp, leaf)))
                         .collect(),
                 };
                 if let Some(t) = self.trace.as_deref_mut() {
                     t.record(EventKind::VexecLeaf {
                         leaf: leaf as u64,
-                        configs: ctx.leaves.count() as u64,
+                        configs: ctx.weight,
                         exit: vl.exit,
                     });
                 }
@@ -653,12 +711,7 @@ impl<'a> Vexec<'a> {
     // ---- memory -----------------------------------------------------
 
     fn decode(&mut self, ctx: &Ctx, pc: u64) -> Result<Insn, Abort> {
-        if ctx
-            .overlay
-            .range(pc..pc.saturating_add(16))
-            .next()
-            .is_some()
-        {
+        if ctx.overlay.any_written(pc, pc.saturating_add(16)) {
             return Err(Abort::Unsupported("self-modifying code"));
         }
         if let Some(i) = self.decode_cache.get(&pc) {
@@ -676,22 +729,32 @@ impl<'a> Vexec<'a> {
         Ok(insn)
     }
 
-    /// One memory byte as the context sees it: its own overlay first,
-    /// then the symbolic view of a switch cell, then the shared base.
-    fn read_byte(&self, ctx: &Ctx, addr: u64) -> Result<Val, Abort> {
-        if let Some(v) = ctx.overlay.get(&addr) {
-            return Ok(v.clone());
-        }
-        for (s, sw) in self.space.switches().iter().enumerate() {
-            if addr >= sw.addr && addr < sw.addr + sw.width as u64 {
-                let shift = 8 * (addr - sw.addr) as u32;
-                let vals = self
-                    .space
-                    .live_digits(&ctx.leaves, s)
-                    .into_iter()
-                    .map(|i| (i, (sw.values[i] as u64 >> shift) & 0xFF))
-                    .collect();
-                return Ok(Val::per_value(s, vals));
+    /// The first switch cell that ends at or after `addr`, as an index
+    /// into `cells`.
+    fn cell_from(&self, addr: u64) -> usize {
+        self.cells.partition_point(|&(_, last, _)| last < addr)
+    }
+
+    /// The context's view of `width` bytes at `addr` inside the cell of
+    /// switch `s`, which starts at `lo`: a table over its live digits.
+    fn cell_view(&self, ctx: &Ctx, (lo, s): (u64, usize), addr: u64, width: usize) -> Val {
+        let shift = 8 * (addr - lo) as u32;
+        let mask = u64::MAX >> (64 - 8 * width as u32);
+        let values = &self.space.switches()[s].values;
+        let vals = self
+            .space
+            .live_digits(&ctx.leaves, s)
+            .map(|i| (i, (values[i] as u64 >> shift) & mask))
+            .collect();
+        Val::per_value(s, vals)
+    }
+
+    /// One memory byte the context did not write, as it sees it: the
+    /// symbolic view of a switch cell, else the shared base.
+    fn base_byte(&self, ctx: &Ctx, addr: u64) -> Result<Val, Abort> {
+        if let Some(&(lo, _, s)) = self.cells.get(self.cell_from(addr)) {
+            if lo <= addr {
+                return Ok(self.cell_view(ctx, (lo, s), addr, 1));
             }
         }
         self.mem
@@ -700,19 +763,58 @@ impl<'a> Vexec<'a> {
             .map_err(Abort::from)
     }
 
+    /// One memory byte as the context sees it, given what its overlay
+    /// holds there.
+    fn byte_view(&self, ctx: &Ctx, addr: u64, written: Option<Byte<'_>>) -> Result<Val, Abort> {
+        match written {
+            Some(b) => Ok(b.to_val()),
+            None => self.base_byte(ctx, addr),
+        }
+    }
+
+    /// Reads `width` bytes at `addr`, little-endian, as the context sees
+    /// them. One overlay probe decides the path: untouched memory outside
+    /// the switch cells is one base read, concrete overlay bytes assemble
+    /// directly, and anything mixed folds byte by byte.
     fn read_mem(&self, ctx: &Ctx, addr: u64, width: usize) -> Result<Val, Abort> {
+        let Some(last) = addr.checked_add(width as u64 - 1) else {
+            return Err(wraps(addr, Access::Read));
+        };
+        let lanes = ctx.overlay.lanes(addr, width);
+        if lanes.written == 0 {
+            match self.cells.get(self.cell_from(addr)) {
+                Some(&(lo, hi, s)) if lo <= addr && last <= hi => {
+                    // Inside one switch cell: every lane is a table over
+                    // the same live digits, so the byte fold below would
+                    // only reassemble each domain value's bytes.
+                    return Ok(self.cell_view(ctx, (lo, s), addr, width));
+                }
+                Some(&(lo, _, _)) if lo <= last => {}
+                _ => return Ok(Val::Concrete(self.mem.read_uint(addr, width)?)),
+            }
+        }
+        if lanes.written == (1 << width) - 1 && lanes.symbolic == 0 {
+            return Ok(Val::Concrete(lanes.concrete));
+        }
         let mut acc = Val::Concrete(0);
         for j in 0..width {
-            let b = self.read_byte(ctx, addr + j as u64)?;
+            let b = self.byte_view(ctx, addr + j as u64, lanes.get(j))?;
             let shift = 8 * j as u32;
             acc = Val::zip(&acc, &b, |a, x| a | (x << shift))?;
         }
         Ok(acc)
     }
 
+    /// Writes the low `width` bytes of `val` at `addr` into the
+    /// context's overlay, faulting as `mvvm::Memory::write` would.
     fn write_mem(&self, ctx: &mut Ctx, addr: u64, val: Val, width: usize) -> Result<(), Abort> {
-        let last = addr + width as u64 - 1;
-        for probe in [addr, last] {
+        let Some(last) = addr.checked_add(width as u64 - 1) else {
+            return Err(wraps(addr, Access::Write));
+        };
+        // An access of at most 8 bytes spans at most two pages; the
+        // second is probed at its first byte.
+        let second = (last / PAGE_SIZE != addr / PAGE_SIZE).then(|| last / PAGE_SIZE * PAGE_SIZE);
+        for probe in std::iter::once(addr).chain(second) {
             match self.mem.prot_of(probe) {
                 Some(p) if p.write => {}
                 other => {
@@ -724,11 +826,7 @@ impl<'a> Vexec<'a> {
                 }
             }
         }
-        for j in 0..width {
-            let shift = 8 * j as u32;
-            ctx.overlay
-                .insert(addr + j as u64, val.map(|v| (v >> shift) & 0xFF));
-        }
+        ctx.overlay.write(addr, width, &val);
         Ok(())
     }
 
@@ -1199,6 +1297,50 @@ mod tests {
                 assert_eq!(label, "sw=0");
             }
             other => panic!("expected fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn accesses_past_the_top_of_memory_fault_as_the_machine_does() {
+        // The top page is mapped, so the first four bytes of either
+        // access exist; the last four would wrap around the address space.
+        let top = u64::MAX - 3;
+        for (insn, access) in [
+            (
+                Insn::LoadAbs {
+                    dst: r(0),
+                    addr: top,
+                    width: Width::W64,
+                    signed: false,
+                },
+                Access::Read,
+            ),
+            (
+                Insn::StoreAbs {
+                    src: r(0),
+                    addr: top,
+                    width: Width::W64,
+                },
+                Access::Write,
+            ),
+        ] {
+            let (mut mem, space) = setup(&[insn, Insn::Ret], vec![domain(&[0, 1])]);
+            mem.map(top - 4096, 4096, Prot::RW);
+            let mut vx = Vexec::new(&mem, &space, Platform::Native);
+            let vexec = match vx.run_call(CODE, &[], &regs0(), true) {
+                Err(VexecError::Fault { fault, .. }) => fault,
+                other => panic!("{insn:?}: expected a fault, got {other:?}"),
+            };
+            let mut m = mvvm::Machine::new(mvvm::CostModel::default(), Default::default());
+            m.mem = mem;
+            let machine = m.call(CODE, &[]).unwrap_err();
+            let want = Fault::Mem(MemError {
+                addr: top,
+                access,
+                mapped: false,
+            });
+            assert_eq!(machine, want, "{insn:?} on the machine");
+            assert_eq!(vexec, want, "{insn:?} under vexec");
         }
     }
 

@@ -16,7 +16,9 @@
 //! * [`config`] — the configuration space: per-switch domains recovered
 //!   from the loaded image's guard descriptors, mixed-radix leaf
 //!   indexing, and the compact [`config::LeafSet`] bitmask every
-//!   context is keyed by.
+//!   context is keyed by. Every leaf-set operation works a word at a
+//!   time (projection included), and spaces of up to 64 leaves never
+//!   touch the heap.
 //! * [`value`] — the semi-symbolic value lattice: a register or memory
 //!   byte is either [`value::Val::Concrete`] or a tabulated function of
 //!   exactly **one** switch ([`value::Val::PerValue`]). Values that
@@ -28,6 +30,10 @@
 //!   (contexts split into at most two arms, grouping domain values by
 //!   outcome), and sibling re-join when split contexts return to their
 //!   common caller with differences expressible over the split switch.
+//!   Split children share their parent's memory overlay copy-on-write,
+//!   in 64-byte chunks, so a step, a split and a join each cost what
+//!   they change rather than what the context holds: a join compares
+//!   only the chunks either sibling wrote since they shared a copy.
 //! * [`metrics`] — the `mv_vexec_*` counter family for the
 //!   [`mvmetrics::Registry`].
 //!
@@ -42,6 +48,7 @@
 pub mod config;
 pub mod engine;
 pub mod metrics;
+mod overlay;
 pub mod value;
 
 pub use config::{ConfigSpace, LeafSet, SpaceError, SwitchDomain};

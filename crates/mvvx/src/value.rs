@@ -114,20 +114,35 @@ impl Val {
         }
     }
 
+    /// `true` if every table entry is live in `leaves`, so that
+    /// [`Val::restrict`] would return the value unchanged.
+    pub fn is_live_in(&self, space: &ConfigSpace, leaves: &LeafSet) -> bool {
+        match self {
+            Val::Concrete(_) => true,
+            Val::PerValue { sw, vals } => vals
+                .iter()
+                .all(|&(i, _)| !space.mask(*sw, i).is_disjoint(leaves)),
+        }
+    }
+
     /// Restricts the value to the configurations in `leaves`, dropping
     /// dead table entries (and collapsing to concrete when one remains).
     pub fn restrict(&self, space: &ConfigSpace, leaves: &LeafSet) -> Val {
         match self {
-            Val::Concrete(_) => self.clone(),
-            Val::PerValue { sw, vals } => {
-                let kept: Vec<(usize, u64)> = vals
+            Val::PerValue { sw, vals } if !self.is_live_in(space, leaves) => {
+                let mut kept = vals
                     .iter()
                     .filter(|&&(i, _)| !space.mask(*sw, i).is_disjoint(leaves))
                     .copied()
-                    .collect();
-                debug_assert!(!kept.is_empty(), "restriction emptied a value table");
-                Val::per_value(*sw, kept)
+                    .peekable();
+                let first = kept.next().expect("restriction emptied a value table");
+                if kept.peek().is_none() {
+                    // The common case of a split on `sw`: one value left.
+                    return Val::Concrete(first.1);
+                }
+                Val::per_value(*sw, std::iter::once(first).chain(kept).collect())
             }
+            _ => self.clone(),
         }
     }
 }

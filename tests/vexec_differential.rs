@@ -143,6 +143,44 @@ fn commit_storm_kernel_splits_and_rejoins_per_callee() {
     assert!(stats.max_live < 8, "stats: {stats:?}");
 }
 
+/// The E14 compile-cost grid (`mv_bench::compile_cost_src`): `main` calls
+/// every multiversed function, so one pass splits and re-joins inside
+/// each. The split/join algorithm is pinned by its exact accounting —
+/// any change to when contexts split or join moves these numbers.
+#[test]
+fn e14_grid_pass_accounting_is_pinned() {
+    // (functions, switches, domain) → (steps, enum_equiv_insns, splits,
+    // joins, max_live, contexts_spawned).
+    let rows = [
+        ((4, 3, 2), (574, 1016, 19, 16, 5, 38)),
+        ((4, 5, 2), (2770, 5344, 79, 64, 17, 158)),
+        ((4, 4, 3), (1266, 12771, 39, 32, 9, 78)),
+        ((8, 6, 2), (12802, 23744, 287, 256, 33, 574)),
+    ];
+    for ((funcs, switches, domain), want) in rows {
+        let src = mv_bench::compile_cost_src(funcs, switches, domain);
+        let opts = multiverse::mvc::Options {
+            variant_limit: domain.pow(switches as u32) * 2,
+            ..multiverse::mvc::Options::default()
+        };
+        let p = Program::build_with(&[("grid.c", &src)], &opts).unwrap();
+        let s = differential(|| Ok(p.boot()), "main", &[]);
+        assert_eq!(s.leaf_count, domain.pow(switches as u32) as u64);
+        assert_eq!(
+            (
+                s.steps,
+                s.enum_equiv_insns,
+                s.splits,
+                s.joins,
+                s.max_live,
+                s.contexts_spawned
+            ),
+            want,
+            "{funcs} fns × {domain}^{switches}: {s:?}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Random-program property: exact cross-product coverage.
 // ---------------------------------------------------------------------------
