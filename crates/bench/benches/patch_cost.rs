@@ -4,33 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use multiverse::Program;
-use std::time::{Duration, Instant};
-
-/// Batched commit+revert timing at `n_sites` with the journal toggled.
-/// The per-sample criterion rows below are one-shot and noisy at kernel
-/// scale; this takes the best of several 20-iteration batches, which is
-/// stable enough to report the undo log's happy-path overhead.
-fn journal_batch(journal: bool, n_sites: usize) -> Duration {
-    let src = mv_bench::many_callsites_src(n_sites);
-    let program = Program::build(&[("sites.c", &src)]).expect("build");
-    let mut w = program.boot();
-    w.set("feature", 1).unwrap();
-    w.rt.as_mut().unwrap().journal = journal;
-    for _ in 0..5 {
-        w.commit().expect("warmup commit");
-        w.revert().expect("warmup revert");
-    }
-    let mut best = Duration::MAX;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..20 {
-            w.commit().expect("commit");
-            w.revert().expect("revert");
-        }
-        best = best.min(start.elapsed() / 20);
-    }
-    best
-}
 
 fn bench(c: &mut Criterion) {
     let r = mv_bench::patch_stats_data(1161);
@@ -42,18 +15,6 @@ fn bench(c: &mut Criterion) {
         r.mv_image,
         r.dyn_image
     );
-
-    println!("## journal overhead on the happy path (commit+revert, batched)");
-    for n_sites in [16usize, 128, 1161] {
-        let with = journal_batch(true, n_sites);
-        let without = journal_batch(false, n_sites);
-        let overhead = with.as_secs_f64() / without.as_secs_f64() - 1.0;
-        println!(
-            "{n_sites:>5} sites: journal {with:>10.2?}  no-journal {without:>10.2?}  overhead {:+.1}%",
-            overhead * 100.0
-        );
-    }
-    println!();
 
     println!("## tracing overhead on the commit path (commit+revert, batched)");
     for n_sites in [16usize, 128, 1161] {
@@ -81,24 +42,22 @@ fn bench(c: &mut Criterion) {
     }
     println!();
 
-    println!("## page batching vs per-site apply, first commit vs re-commit (1161 sites)");
+    println!("## first commit vs re-commit (1161 sites)");
     println!(
-        "{:>9}  {:>11} {:>9} {:>7} {:>7} | {:>11} {:>7} {:>12}",
-        "mode", "first", "mprotect", "flush", "pages", "re-commit", "writes", "sites-skip"
+        "{:>11} {:>9} {:>7} {:>7} | {:>11} {:>7} {:>12}",
+        "first", "mprotect", "flush", "pages", "re-commit", "writes", "sites-skip"
     );
-    for row in mv_bench::fast_path_data(1161) {
-        println!(
-            "{:>9}  {:>11.2?} {:>9} {:>7} {:>7} | {:>11.2?} {:>7} {:>12}",
-            row.mode,
-            row.first_time,
-            row.first.mprotects,
-            row.first.icache_flushes,
-            row.first.pages_touched,
-            row.recommit_time,
-            row.recommit.bytes_written,
-            format!("{}/{}", row.recommit.sites_skipped, row.call_sites),
-        );
-    }
+    let row = mv_bench::fast_path_data(1161);
+    println!(
+        "{:>11.2?} {:>9} {:>7} {:>7} | {:>11.2?} {:>7} {:>12}",
+        row.first_time,
+        row.first.mprotects,
+        row.first.icache_flushes,
+        row.first.pages_touched,
+        row.recommit_time,
+        row.recommit.bytes_written,
+        format!("{}/{}", row.recommit.sites_skipped, row.call_sites),
+    );
     println!();
 
     println!("## §6.1 — per-phase commit latency from the trace ring (50 rounds, 1161 sites)");
@@ -109,23 +68,17 @@ fn bench(c: &mut Criterion) {
     println!();
 
     let mut g = c.benchmark_group("patch_cost");
-    // Journal on (default) vs. off (validated but unjournaled apply):
-    // the undo log's happy-path overhead, reported as its own column.
-    for journal in [true, false] {
-        let label = if journal { "commit+journal" } else { "commit" };
-        for n_sites in [16usize, 128, 1161] {
-            let src = mv_bench::many_callsites_src(n_sites);
-            let program = Program::build(&[("sites.c", &src)]).expect("build");
-            let mut w = program.boot();
-            w.set("feature", 1).unwrap();
-            w.rt.as_mut().unwrap().journal = journal;
-            g.bench_with_input(BenchmarkId::new(label, n_sites), &n_sites, |b, _| {
-                b.iter(|| {
-                    w.commit().expect("commit");
-                    w.revert().expect("revert");
-                })
-            });
-        }
+    for n_sites in [16usize, 128, 1161] {
+        let src = mv_bench::many_callsites_src(n_sites);
+        let program = Program::build(&[("sites.c", &src)]).expect("build");
+        let mut w = program.boot();
+        w.set("feature", 1).unwrap();
+        g.bench_with_input(BenchmarkId::new("commit", n_sites), &n_sites, |b, _| {
+            b.iter(|| {
+                w.commit().expect("commit");
+                w.revert().expect("revert");
+            })
+        });
     }
     g.finish();
 }

@@ -231,12 +231,10 @@ pub fn patch_stats_data(n_sites: usize) -> PatchStatsReport {
     }
 }
 
-/// One mode-column of [`fast_path_data`]: the patching-cost profile of a
-/// first commit and an immediate re-commit under one apply discipline.
+/// The patching-cost profile [`fast_path_data`] measures: a first
+/// commit and an immediate re-commit.
 #[derive(Clone, Copy, Debug)]
 pub struct FastPathRow {
-    /// `"batched"` or `"per-site"`.
-    pub mode: &'static str,
     /// Stats delta of the first (cold) commit.
     pub first: multiverse::mvrt::PatchStats,
     /// Host wall time of the first commit.
@@ -250,38 +248,31 @@ pub struct FastPathRow {
     pub call_sites: u64,
 }
 
-/// E7's new columns: batched vs per-site apply and first-commit vs
-/// re-commit, on the `n_sites` workload. The interesting claims:
-/// batched `mprotects`/`icache_flushes` drop from O(sites) to O(pages),
-/// and the re-commit row performs zero journal entries and zero byte
-/// writes in either mode.
-pub fn fast_path_data(n_sites: usize) -> Vec<FastPathRow> {
+/// E7: first commit vs re-commit on the `n_sites` workload. The
+/// interesting claims: the first commit's `mprotects`/`icache_flushes`
+/// are O(pages), not O(sites), and the re-commit performs zero journal
+/// entries and zero byte writes.
+pub fn fast_path_data(n_sites: usize) -> FastPathRow {
     let src = many_callsites_src(n_sites);
     let program = Program::build(&[("sites.c", &src)]).expect("build");
-    let mut rows = Vec::new();
-    for (mode, batch) in [("batched", true), ("per-site", false)] {
-        let mut w = program.boot();
-        w.set("feature", 1).unwrap();
-        w.rt.as_mut().expect("runtime").batch_pages = batch;
-        let before = w.rt.as_ref().unwrap().stats;
-        let t0 = std::time::Instant::now();
-        w.commit().expect("commit");
-        let first_time = t0.elapsed();
-        let mid = w.rt.as_ref().unwrap().stats;
-        let t0 = std::time::Instant::now();
-        w.commit().expect("re-commit");
-        let recommit_time = t0.elapsed();
-        let rt = w.rt.as_ref().unwrap();
-        rows.push(FastPathRow {
-            mode,
-            first: mid.since(&before),
-            first_time,
-            recommit: rt.stats.since(&mid),
-            recommit_time,
-            call_sites: rt.num_callsites() as u64,
-        });
+    let mut w = program.boot();
+    w.set("feature", 1).unwrap();
+    let before = w.rt.as_ref().expect("runtime").stats;
+    let t0 = std::time::Instant::now();
+    w.commit().expect("commit");
+    let first_time = t0.elapsed();
+    let mid = w.rt.as_ref().unwrap().stats;
+    let t0 = std::time::Instant::now();
+    w.commit().expect("re-commit");
+    let recommit_time = t0.elapsed();
+    let rt = w.rt.as_ref().unwrap();
+    FastPathRow {
+        first: mid.since(&before),
+        first_time,
+        recommit: rt.stats.since(&mid),
+        recommit_time,
+        call_sites: rt.num_callsites() as u64,
     }
-    rows
 }
 
 /// One row of [`commit_latency_percentiles`]: the latency distribution
@@ -1441,36 +1432,35 @@ mod tests {
     }
 
     /// CI's quick patch-cost gate (see `.github/workflows/ci.yml`): the
-    /// batched commit does O(pages) protection changes, and the
-    /// immediate re-commit is a pure fast path that skips every site.
+    /// first commit does exactly one RW + one RX per touched page and
+    /// one flush per page, and the immediate re-commit is a pure fast
+    /// path that skips every site.
     #[test]
     fn patch_cost_quick() {
-        let rows = fast_path_data(256);
-        let batched = rows[0];
-        let per_site = rows[1];
-        assert_eq!(batched.mode, "batched");
+        let row = fast_path_data(256);
+        let first = row.first;
 
-        // Batched apply: at most one RW + one RX per touched page.
-        assert!(batched.first.pages_touched >= 1);
-        assert!(
-            batched.first.mprotects <= 2 * batched.first.pages_touched,
+        // Page-batched apply: one RW + one RX and one flush per page.
+        assert!(first.pages_touched >= 1);
+        assert_eq!(
+            first.mprotects,
+            2 * first.pages_touched,
             "{} mprotects for {} pages",
-            batched.first.mprotects,
-            batched.first.pages_touched
+            first.mprotects,
+            first.pages_touched
         );
-        assert!(batched.first.icache_flushes <= batched.first.pages_touched);
-        // …and strictly cheaper than the per-site discipline.
-        assert!(batched.first.mprotects < per_site.first.mprotects);
-        assert!(batched.first.icache_flushes < per_site.first.icache_flushes);
+        assert_eq!(first.icache_flushes, first.pages_touched);
+        // …and strictly cheaper than a per-site discipline, which costs
+        // two mprotects and one flush per journaled write.
+        assert!(first.mprotects < 2 * first.journal_entries);
+        assert!(first.icache_flushes < first.journal_entries);
 
         // Immediate re-commit: delta planning skips every site and
-        // writes nothing, in both modes.
-        for row in &rows {
-            assert_eq!(row.recommit.sites_skipped, row.call_sites, "{}", row.mode);
-            assert_eq!(row.recommit.journal_entries, 0, "{}", row.mode);
-            assert_eq!(row.recommit.bytes_written, 0, "{}", row.mode);
-            assert_eq!(row.recommit.mprotects, 0, "{}", row.mode);
-        }
+        // writes nothing.
+        assert_eq!(row.recommit.sites_skipped, row.call_sites);
+        assert_eq!(row.recommit.journal_entries, 0);
+        assert_eq!(row.recommit.bytes_written, 0);
+        assert_eq!(row.recommit.mprotects, 0);
     }
 
     /// CI's quick metrics gate (see `.github/workflows/ci.yml`): with an

@@ -1594,7 +1594,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("mvcc: {e}");
             eprintln!(
-                "usage: mvcc build|dump|disasm|run|vexec|verify|trace|stats|metrics|serve|storm <file.c>… [flags]"
+                "usage: mvcc build|compile|link|dump|disasm|run|vexec|verify|trace|stats|metrics|serve|storm <file.c>… [flags]"
             );
             return ExitCode::FAILURE;
         }

@@ -3,19 +3,18 @@
 //!
 //! The ISA-level contract (encodings, widths, displacement reach) lives
 //! in [`mvasm::abi::Backend`]; this module layers the *runtime*-level
-//! decisions on top as [`RtBackend`]: which ABI the patcher speaks,
-//! which page protections bracket a text write, and what extra work a
-//! successful commit must do to keep the tiered engine coherent with
-//! the new function bindings.
+//! decisions on top as [`RtBackend`]: which ABI the patcher speaks and
+//! what extra work a successful commit must do to keep the tiered
+//! engine coherent with the new function bindings.
 //!
 //! Two implementations ship:
 //!
-//! * [`Mv64RtBackend`] — the reference backend. MV64 encodings, the
-//!   classic transient-RW / restore-RX patch discipline, no post-commit
-//!   work. This is what every runtime uses unless told otherwise.
+//! * [`Mv64RtBackend`] — the reference backend. MV64 encodings, no
+//!   post-commit work. This is what every runtime uses unless told
+//!   otherwise.
 //! * [`HostTierBackend`] — the native host-closure backend. Identical
-//!   encodings and patch discipline (committed images are byte-for-byte
-//!   those of [`Mv64RtBackend`]), but after every successful commit it
+//!   encodings (committed images are byte-for-byte those of
+//!   [`Mv64RtBackend`]), but after every successful commit it
 //!   reconciles the machine's [native region registry] against the
 //!   current function bindings: the *live* body of every multiversed
 //!   function (committed variant or generic fallback) is lowered to a
@@ -29,12 +28,11 @@
 //! differential test suite holds them to that.
 
 use crate::runtime::{FnBinding, Runtime};
-use mvobj::Prot;
 use mvvm::{ExecTier, Machine};
 use std::sync::Arc;
 
 /// Runtime-level backend policy. Object-safe; the runtime stores one as
-/// `Arc<dyn RtBackend>` and consults it on every patch and commit.
+/// `Arc<dyn RtBackend>` and consults it on every commit.
 ///
 /// `Send + Sync` is required: the commit daemon moves whole runtimes
 /// across threads.
@@ -44,16 +42,6 @@ pub trait RtBackend: Send + Sync {
 
     /// The ISA contract this backend patches under.
     fn abi(&self) -> &'static dyn mvasm::Backend;
-
-    /// Protection of the transient window a text write opens.
-    fn window_prot(&self) -> Prot {
-        Prot::RW
-    }
-
-    /// Protection text pages are restored to after a write.
-    fn restore_prot(&self) -> Prot {
-        Prot::RX
-    }
 
     /// Execution tier this backend wants the machine on, if it cares.
     /// Boot facades apply it when the backend is installed; the sync
@@ -70,8 +58,7 @@ pub trait RtBackend: Send + Sync {
     }
 }
 
-/// The reference backend: MV64 encodings, default patch discipline,
-/// no post-commit work.
+/// The reference backend: MV64 encodings, no post-commit work.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Mv64RtBackend;
 
@@ -87,7 +74,7 @@ impl RtBackend for Mv64RtBackend {
 
 /// The native host-closure backend.
 ///
-/// Encodings and patch discipline are exactly [`Mv64RtBackend`]'s, so
+/// Encodings are exactly [`Mv64RtBackend`]'s, so
 /// committed images are byte-identical; the difference is the
 /// [`RtBackend::sync`] hook, which keeps the machine's native
 /// region registry congruent with the function bindings: one lowered
@@ -162,11 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn default_protections_follow_wxorx() {
-        let b = Mv64RtBackend;
-        assert_eq!(b.window_prot(), Prot::RW);
-        assert_eq!(b.restore_prot(), Prot::RX);
-        assert_eq!(b.abi().name(), "mv64");
+    fn both_backends_speak_mv64() {
+        assert_eq!(Mv64RtBackend.abi().name(), "mv64");
         assert_eq!(HostTierBackend.abi().name(), "mv64");
     }
 

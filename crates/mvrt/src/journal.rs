@@ -3,14 +3,13 @@
 //! Every byte-write the apply phase performs is recorded here *before*
 //! the write is attempted — site address, the bytes being replaced, the
 //! bytes going in. If any step of the apply fails, replaying the journal
-//! in reverse restores the text segment byte-for-byte (each restore uses
-//! the same mprotect-write-mprotect-flush discipline as the forward
+//! in reverse restores the text segment byte-for-byte (under the same
+//! per-page RW window / RX relock / flush discipline as the forward
 //! path, so page protections and icache state are repaired too).
 //!
-//! Recording *before* attempting matters: a write that faults halfway
-//! through its own mprotect dance may have left its pages RW; the
-//! rollback entry for it re-walks the dance over the unchanged bytes and
-//! ends with the pages RX again.
+//! Recording *before* attempting matters: a write that faults after its
+//! page was unlocked has left that page RW; the rollback reopens and
+//! relocks every page an entry names, so the pages end RX again.
 //!
 //! Entries store their byte spans inline ([`MAX_SPAN`] bytes) rather
 //! than on the heap: every patch the runtime makes is a call site
@@ -19,7 +18,7 @@
 //! pure overhead.
 
 use crate::error::RtError;
-use crate::patch::{pages_of, patch_bytes};
+use crate::patch::pages_of;
 use crate::stats::PatchStats;
 use mvobj::Prot;
 use mvvm::{Machine, PAGE_SIZE};
@@ -124,33 +123,19 @@ impl Journal {
         &self.entries
     }
 
-    /// Restores every recorded range to its `old` bytes, newest entry
-    /// first. On failure returns [`RtError::RollbackFailed`] naming the
-    /// entry whose restore failed; earlier (newer) entries were already
-    /// restored, later (older) ones were not — the image may be torn.
-    pub fn rollback(&self, m: &mut Machine, stats: &mut PatchStats) -> Result<(), RtError> {
-        for e in self.entries.iter().rev() {
-            patch_bytes(m, e.addr, &e.old, stats).map_err(|src| RtError::RollbackFailed {
-                addr: e.addr,
-                source: Box::new(src),
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Page-batched rollback: one RW window per touched page (the
-    /// recorded entries' pages united with `extra_pages`, typically the
-    /// apply batch's still-open windows), every entry restored newest
-    /// first with plain writes, then one RX relock and one icache flush
-    /// per page — the same O(pages) discipline as the forward batched
-    /// path. `extra_pages` matters for a batch aborted between opening a
-    /// window and writing into it: the window must be relocked even
-    /// though no journal entry names its page.
+    /// Restores every recorded range to its `old` bytes: one RW window
+    /// per touched page (the recorded entries' pages united with
+    /// `extra_pages`, typically the apply batch's still-open windows),
+    /// every entry restored newest first with plain writes, then one RX
+    /// relock and one icache flush per page — the same O(pages)
+    /// discipline as the forward path. `extra_pages` matters for a batch
+    /// aborted between opening a window and writing into it: the window
+    /// must be relocked even though no journal entry names its page.
     ///
     /// On failure returns [`RtError::RollbackFailed`] naming the address
-    /// whose step failed; the image may be torn (and some windows may be
-    /// left open), exactly like the unbatched rollback contract.
-    pub fn rollback_batched(
+    /// whose step failed; the image may be torn and some windows may be
+    /// left open.
+    pub fn rollback(
         &self,
         m: &mut Machine,
         extra_pages: &[u64],
@@ -196,7 +181,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvobj::Prot;
+    use crate::patch::patch_bytes;
     use mvvm::{CostModel, MachineConfig};
 
     fn machine_with_text(bytes: &[u8]) -> Machine {
@@ -222,7 +207,7 @@ mod tests {
         patch_bytes(&mut m, 0x1001, &[7, 7], &mut stats).unwrap();
         assert_eq!(m.mem.read_vec(0x1000, 6).unwrap(), vec![9, 7, 7, 4, 5, 6]);
 
-        j.rollback(&mut m, &mut stats).unwrap();
+        j.rollback(&mut m, &[], &mut stats).unwrap();
         assert_eq!(m.mem.read_vec(0x1000, 6).unwrap(), vec![1, 2, 3, 4, 5, 6]);
         // W^X restored: writes still fault.
         assert!(m.mem.write(0x1000, &[0]).is_err());
@@ -237,7 +222,7 @@ mod tests {
         let mut j = Journal::new();
         j.record(0x1000, &[1], &[9]);
         j.record(0xdead_0000, &[0], &[1]); // unmapped: restore fails
-        let err = j.rollback(&mut m, &mut stats).unwrap_err();
+        let err = j.rollback(&mut m, &[], &mut stats).unwrap_err();
         match err {
             RtError::RollbackFailed { addr, .. } => assert_eq!(addr, 0xdead_0000),
             other => panic!("unexpected error {other:?}"),

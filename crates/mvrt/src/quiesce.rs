@@ -242,14 +242,13 @@ fn vcpu_unsafe(smp: &SmpMachine, i: usize, regions: &[(u64, u64)]) -> bool {
 /// Writes `byte` over `addr` through the ordinary mprotect → write →
 /// mprotect → flush dance (fault-injectable like any other patch).
 fn poke_byte(rt: &mut Runtime, m: &mut Machine, addr: u64, byte: u8) -> Result<(), RtError> {
-    let (window, restore) = (rt.backend.window_prot(), rt.backend.restore_prot());
-    let r = crate::patch::patch_bytes_with(m, addr, &[byte], &mut rt.stats, window, restore);
+    let r = crate::patch::patch_bytes(m, addr, &[byte], &mut rt.stats);
     if r.is_err() {
         // A fault inside the dance can strand the page RW — W^X broken
         // under vCPUs that are still executing it. Relock best-effort,
         // outside the stats so probe-counted fault schedules of a clean
         // commit stay aligned with the failing run.
-        let _ = m.mem.mprotect(addr, 1, restore);
+        let _ = m.mem.mprotect(addr, 1, mvobj::Prot::RX);
     }
     r
 }

@@ -10,7 +10,7 @@
 use crate::backend::{Mv64RtBackend, RtBackend};
 use crate::error::RtError;
 use crate::journal::Journal;
-use crate::patch::{insn_at, verify_call, PageBatch};
+use crate::patch::{insn_at, PageBatch};
 use crate::stats::{PatchStats, PatchTiming};
 use crate::txn::{RetryPolicy, TxnOp};
 use mvasm::Insn;
@@ -65,8 +65,6 @@ pub(crate) struct SiteInfo {
     /// Total patchable length: 5 for a `call rel32` site, 9 for a
     /// `call *[mem]` (function-pointer) site.
     pub(crate) len: usize,
-    /// `true` if the original instruction was an indirect memory call.
-    pub(crate) indirect: bool,
     pub(crate) original: Vec<u8>,
 }
 
@@ -136,20 +134,7 @@ pub struct Runtime {
     pub strategy: PatchStrategy,
     /// Whether short bodies may be inlined into call sites (default on).
     pub inline_enabled: bool,
-    /// Whether the apply phase keeps the undo log (default on). Off =
-    /// operations are still planned and validated, but applied without
-    /// the journal: a mid-apply fault surfaces raw and leaves the image
-    /// torn. Exists for the journal-overhead ablation in the patch-cost
-    /// benchmark.
-    pub journal: bool,
-    /// Whether journaled apply phases batch text writes per page
-    /// (default on): one RW window per touched page per transaction,
-    /// all writes inside, then one RX relock and one icache flush per
-    /// page — O(pages) protection changes instead of O(sites). Only the
-    /// journaled path batches; with [`Runtime::journal`] off the legacy
-    /// per-site discipline is used regardless.
-    pub batch_pages: bool,
-    /// RW windows of the page-batched apply phase in flight, if any.
+    /// RW windows of the apply phase in flight, if any.
     pub(crate) batch: Option<PageBatch>,
     /// Bounded retry for transient apply-phase faults (default: off).
     pub retry: RetryPolicy,
@@ -164,8 +149,8 @@ pub struct Runtime {
     /// (default: off — commits then pay one branch per operation and
     /// nothing else).
     pub metrics: Option<crate::metrics::RtMetrics>,
-    /// The runtime backend: ABI encodings, patch protections and the
-    /// post-commit sync hook (default: [`Mv64RtBackend`]).
+    /// The runtime backend: ABI encodings and the post-commit sync hook
+    /// (default: [`Mv64RtBackend`]).
     pub(crate) backend: Arc<dyn RtBackend>,
 }
 
@@ -202,7 +187,7 @@ impl Runtime {
         let mut sites_of: HashMap<u64, Vec<usize>, FxBuildHasher> = HashMap::default();
         for desc in site_descs {
             let insn = insn_at(m, abi, desc.site)?;
-            let (len, indirect) = match insn {
+            let len = match insn {
                 Insn::CallRel { rel } => {
                     let t = abi.call_target(desc.site, rel);
                     if t != desc.callee {
@@ -214,7 +199,7 @@ impl Runtime {
                             ),
                         });
                     }
-                    (abi.call_site_len(), false)
+                    abi.call_site_len()
                 }
                 Insn::CallMem { addr } => {
                     if addr != desc.callee {
@@ -226,7 +211,7 @@ impl Runtime {
                             ),
                         });
                     }
-                    (insn.len(), true)
+                    insn.len()
                 }
                 other => {
                     return Err(RtError::SiteVerifyFailed {
@@ -240,7 +225,6 @@ impl Runtime {
             sites.push(SiteInfo {
                 desc,
                 len,
-                indirect,
                 original,
             });
         }
@@ -268,8 +252,6 @@ impl Runtime {
             patch_time: Duration::ZERO,
             strategy: PatchStrategy::default(),
             inline_enabled: true,
-            journal: true,
-            batch_pages: true,
             batch: None,
             retry: RetryPolicy::default(),
             tracer: None,
@@ -295,8 +277,6 @@ impl Runtime {
             patch_time: self.patch_time,
             strategy: self.strategy,
             inline_enabled: self.inline_enabled,
-            journal: self.journal,
-            batch_pages: self.batch_pages,
             batch: self.batch.clone(),
             retry: self.retry,
             tracer: None,
@@ -491,24 +471,10 @@ impl Runtime {
         target: u64,
         inline: Option<(u64, u32)>,
     ) -> Result<(), RtError> {
-        let (site, len, binding) = {
-            let s = &self.tables.sites[si];
-            (s.desc.site, s.len, self.sites[si])
-        };
-        // §4: check the site still points at the expected target before
-        // touching it. Inside a transaction the validate phase has
-        // already byte-checked every site, so the apply pass skips the
-        // re-decode.
+        // §4 wants the site checked before it is touched; the validate
+        // phase has already byte-checked every site of the transaction.
+        let (site, len) = (self.tables.sites[si].desc.site, self.tables.sites[si].len);
         let abi = self.abi();
-        if self.txn.is_none() {
-            match binding {
-                SiteBinding::Call(t) => verify_call(m, abi, site, t)?,
-                SiteBinding::Original if !self.tables.sites[si].indirect => {
-                    verify_call(m, abi, site, self.tables.sites[si].desc.callee)?
-                }
-                _ => {}
-            }
-        }
         let (bytes, new_binding) = match inline {
             Some((body_addr, inline_len)) if (inline_len as usize) <= len => {
                 let body = m.mem.read_vec(body_addr, inline_len as usize)?;
@@ -553,20 +519,13 @@ impl Runtime {
         fi: usize,
         vi: usize,
     ) -> Result<usize, RtError> {
-        let (generic, generic_size, v_addr, v_inline) = {
+        // The validate phase has checked that the generic body has room
+        // for the entry jump and that the jump is encodable.
+        let (generic, v_addr, v_inline) = {
             let f = &self.tables.fns[fi];
             let v = &f.variants[vi];
-            (f.generic, f.generic_size, v.addr, v.inline_len)
+            (f.generic, v.addr, v.inline_len)
         };
-        // Completeness patching needs room for the entry jump; checked
-        // up front so the error surfaces before any call site is touched
-        // even on the unjournaled path.
-        if generic_size < self.abi().call_site_len() as u32 {
-            return Err(RtError::GenericTooSmall {
-                function: generic,
-                size: generic_size,
-            });
-        }
         // Patch all recorded call sites of the generic function (the
         // EntryOnly strategy leaves them aimed at the generic entry, where
         // the jump redirects them).
@@ -588,23 +547,14 @@ impl Runtime {
             self.patch_site_to(m, *si, v_addr, inline)?;
         }
         // Completeness: overwrite the generic entry with `jmp variant`,
-        // saving the prologue the first time. The jump is encoded before
-        // the prologue save so an out-of-range variant cannot strand
-        // bookkeeping on the unjournaled path.
+        // saving the prologue the first time. A failed apply restores the
+        // bookkeeping snapshot, so the saved prologue needs no undo here.
         let jmp = self.abi().encode_jmp(generic, v_addr)?;
-        let first_install = self.fns[fi].saved_prologue.is_none();
-        if first_install {
+        if self.fns[fi].saved_prologue.is_none() {
             let saved = m.mem.read_vec(generic, self.abi().call_site_len())?;
             self.fns[fi].saved_prologue = Some(saved);
         }
-        if let Err(e) = self.write_text(m, generic, &jmp) {
-            // Keep the in-memory state consistent with the image even on
-            // the unjournaled path: nothing was written over the entry.
-            if first_install {
-                self.fns[fi].saved_prologue = None;
-            }
-            return Err(e);
-        }
+        self.write_text(m, generic, &jmp)?;
         self.stats.entry_jumps += 1;
         self.fns[fi].binding = FnBinding::Variant(v_addr);
         self.stats.committed_variants += 1;

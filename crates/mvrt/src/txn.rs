@@ -21,6 +21,7 @@ use crate::patch::{pages_of, PageBatch};
 use crate::runtime::{CommitReport, FnBinding, PatchStrategy, Runtime, SiteBinding};
 use crate::stats::PatchTiming;
 use mvobj::descriptor::NOT_INLINABLE;
+use mvobj::Prot;
 use mvtrace::{EventKind, Phase as TracePhase};
 use mvvm::{Machine, MemError, PAGE_SIZE};
 use std::sync::Arc;
@@ -286,29 +287,19 @@ impl ValidationReport {
 }
 
 impl Runtime {
-    /// All text writes of the runtime funnel through here. Inside a
-    /// transaction the write is journaled *before* it is attempted and
-    /// the icache flush is verified afterwards (a lost flush means stale
-    /// code keeps executing — surfaced as [`RtError::IcacheStale`]).
-    /// Outside a transaction (legacy path) it is a plain patch.
-    ///
-    /// With an open [`PageBatch`] the per-write mprotect/flush dance is
-    /// replaced by lazy RW windows: the first write landing on a page
-    /// unlocks it once, subsequent writes go straight in, and
-    /// [`Runtime::close_batch`] relocks and flushes every touched page
-    /// exactly once at the end of the apply phase — O(pages) protection
-    /// changes and flushes instead of O(sites).
+    /// All text writes of the runtime funnel through here, inside the
+    /// apply phase of a transaction. The write is journaled *before* it
+    /// is attempted and goes through a lazy per-page RW window: the
+    /// first write landing on a page unlocks it once, later writes go
+    /// straight in, and [`Runtime::close_batch`] relocks and flushes
+    /// every touched page exactly once at the end of the apply phase —
+    /// O(pages) protection changes and flushes instead of O(sites).
     pub(crate) fn write_text(
         &mut self,
         m: &mut Machine,
         addr: u64,
         bytes: &[u8],
     ) -> Result<(), RtError> {
-        let (window, restore) = (self.backend.window_prot(), self.backend.restore_prot());
-        if self.txn.is_none() {
-            crate::patch::patch_bytes_with(m, addr, bytes, &mut self.stats, window, restore)?;
-            return Ok(());
-        }
         let mut old = [0u8; crate::journal::MAX_SPAN];
         let old = &mut old[..bytes.len()];
         m.mem.read(addr, old)?;
@@ -316,42 +307,33 @@ impl Runtime {
         txn.record(addr, old, bytes);
         self.stats.journal_entries += 1;
         self.stats.journal_bytes += bytes.len() as u64;
-        if let Some(batch) = self.batch.as_mut() {
-            for page in pages_of(addr, bytes.len()) {
-                if !batch.open.contains(&page) {
-                    m.mem.mprotect(page, PAGE_SIZE, window)?;
-                    self.stats.mprotects += 1;
-                    batch.open.push(page);
-                }
+        let batch = self.batch.as_mut().expect("transaction active");
+        for page in pages_of(addr, bytes.len()) {
+            if !batch.open.contains(&page) {
+                m.mem.mprotect(page, PAGE_SIZE, Prot::RW)?;
+                self.stats.mprotects += 1;
+                batch.open.push(page);
             }
-            m.mem.write(addr, bytes)?;
-            self.stats.bytes_written += bytes.len() as u64;
-            batch.writes += 1;
-            return Ok(());
         }
-        let epoch_before = m.mem.flush_epoch();
-        crate::patch::patch_bytes_with(m, addr, bytes, &mut self.stats, window, restore)?;
-        if m.mem.flush_epoch() == epoch_before {
-            return Err(RtError::IcacheStale { addr });
-        }
+        m.mem.write(addr, bytes)?;
+        self.stats.bytes_written += bytes.len() as u64;
+        batch.writes += 1;
         Ok(())
     }
 
     /// Relocks and flushes every page the batch unlocked — once per
     /// page — then accounts the batch. Flush effectiveness is verified
-    /// per page through the flush epoch, like the per-site path does per
-    /// write. On error the batch is left in place so the caller can hand
-    /// its open windows to the batched rollback.
+    /// per page through the flush epoch: a lost flush means stale code
+    /// keeps executing, surfaced as [`RtError::IcacheStale`]. On error
+    /// the batch is left in place so the caller can hand its open
+    /// windows to the rollback.
     fn close_batch(&mut self, m: &mut Machine) -> Result<(), RtError> {
-        let Some(batch) = self.batch.as_ref() else {
-            return Ok(());
-        };
+        let batch = self.batch.as_ref().expect("transaction active");
         let pages = batch.open.clone();
         let writes = batch.writes;
-        let restore = self.backend.restore_prot();
         for &page in &pages {
             let epoch_before = m.mem.flush_epoch();
-            m.mem.mprotect(page, PAGE_SIZE, restore)?;
+            m.mem.mprotect(page, PAGE_SIZE, Prot::RX)?;
             self.stats.mprotects += 1;
             m.mem.flush_icache(page, PAGE_SIZE);
             self.stats.icache_flushes += 1;
@@ -838,16 +820,14 @@ impl Runtime {
         let mut journal = std::mem::take(&mut self.spare_journal);
         journal.clear();
         self.txn = Some(journal);
-        if self.batch_pages {
-            self.batch = Some(PageBatch::default());
-        }
+        self.batch = Some(PageBatch::default());
         let mut report = CommitReport::default();
         let mut failure = self.execute_actions(m, actions, &mut report).err();
         if failure.is_none() {
             failure = self.close_batch(m).err().map(|e| (None, e));
         }
         let journal = self.txn.take().expect("transaction active");
-        let batch = self.batch.take();
+        let batch = self.batch.take().expect("transaction active");
         let outcome = match failure {
             None => Ok(report),
             Some((function, cause)) => {
@@ -865,11 +845,7 @@ impl Runtime {
                     what: fault_what,
                 });
                 let entries = journal.len() as u64;
-                let rolled = match &batch {
-                    Some(b) => journal.rollback_batched(m, &b.open, &mut self.stats),
-                    None => journal.rollback(m, &mut self.stats),
-                };
-                match rolled {
+                match journal.rollback(m, &batch.open, &mut self.stats) {
                     Ok(()) => {
                         self.restore_state(snapshot);
                         self.stats.rollbacks += 1;
@@ -936,11 +912,7 @@ impl Runtime {
     }
 
     /// The transaction driver: plan → validate → apply, retried under
-    /// [`Runtime::retry`] for transient faults. With
-    /// [`Runtime::journal`] off the plan is still validated, but applied
-    /// without the undo log — a mid-apply fault surfaces raw and tears
-    /// the image. That mode exists for the journal-overhead ablation in
-    /// the patch-cost benchmark.
+    /// [`Runtime::retry`] for transient faults.
     pub(crate) fn run_txn(&mut self, m: &mut Machine, op: TxnOp) -> Result<CommitReport, RtError> {
         self.last_timing = PatchTiming::default();
         self.emit(|| EventKind::CommitBegin { op: op.name() });
@@ -950,9 +922,8 @@ impl Runtime {
             // rollback restored the pre-commit image.
             let result = self.attempt_txn(m, op);
             match result {
-                // Only journaled apply failures are transient (the image
-                // was rolled back); unjournaled errors surface raw and
-                // never classify as retryable.
+                // Only apply failures whose rollback succeeded are
+                // transient: the image is clean again.
                 Err(e) if attempt < self.retry.max_retries && e.is_transient() => {
                     attempt += 1;
                     self.stats.retries += 1;
@@ -1016,15 +987,7 @@ impl Runtime {
             phase: TracePhase::Apply,
         });
         let t = Instant::now();
-        let applied = if self.journal {
-            self.apply_actions(m, &plan.actions)
-        } else {
-            let mut report = CommitReport::default();
-            match self.execute_actions(m, &plan.actions, &mut report) {
-                Ok(()) => Ok(report),
-                Err((_, e)) => Err(e),
-            }
-        };
+        let applied = self.apply_actions(m, &plan.actions);
         self.last_timing.apply += t.elapsed();
         self.emit(|| EventKind::PhaseEnd {
             phase: TracePhase::Apply,

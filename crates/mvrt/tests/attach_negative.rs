@@ -392,17 +392,3 @@ fn selection_error_during_planning_is_labelled_plan() {
     assert_eq!(rt.stats.journal_entries, 0);
     assert_eq!(rt.stats.bytes_written, 0);
 }
-
-#[test]
-fn unjournaled_commit_reports_the_raw_error() {
-    // The legacy path (journal off) must keep its old failure shape: the
-    // raw error, no Commit wrapper — and no rollback.
-    let (mut m, _exe, mut rt) = mv_fixture();
-    rt.journal = false;
-    m.inject_fault(FaultPlan::fail_nth_write(1));
-    let err = rt.commit(&mut m).unwrap_err();
-    assert!(err.commit_phase().is_none(), "{err:?}");
-    assert!(matches!(err, RtError::Mem(_)), "{err:?}");
-    assert_eq!(rt.stats.rollbacks, 0);
-    assert_eq!(rt.stats.journal_entries, 0);
-}

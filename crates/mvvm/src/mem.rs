@@ -28,6 +28,7 @@ use crate::fault::{FaultOp, FaultPlan};
 use mvobj::{Executable, Prot};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -195,17 +196,23 @@ impl Memory {
         addr / PAGE_SIZE
     }
 
+    /// Page numbers of every page overlapping `[addr, addr+len)`, or
+    /// `None` for an empty range. A range running past the top of the
+    /// address space ends at the top page.
+    fn page_span(addr: u64, len: u64) -> Option<RangeInclusive<u64>> {
+        let last = addr.saturating_add(len.checked_sub(1)?);
+        Some(Self::page_no(addr)..=Self::page_no(last))
+    }
+
     /// Maps `len` bytes at `addr` with protection `prot`, zero-filled.
     /// Extends/overwrites protection of already-mapped pages in the range.
     /// Only the protection is recorded; a page is backed on its first
     /// write.
     pub fn map(&mut self, addr: u64, len: u64, prot: Prot) {
-        if len == 0 {
+        let Some(span) = Self::page_span(addr, len) else {
             return;
-        }
-        let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len - 1);
-        for p in first..=last {
+        };
+        for p in span {
             let page = self.pages.entry(p).or_insert_with(|| Page::new(prot));
             page.prot = prot;
             page.text |= prot.exec;
@@ -257,12 +264,8 @@ impl Memory {
 
     /// Whether any page in `[addr, addr+len)` is (or ever was) text.
     fn touches_text(&self, addr: u64, len: usize) -> bool {
-        if len == 0 {
-            return false;
-        }
-        let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len as u64 - 1);
-        (first..=last).any(|p| self.pages.get(&p).is_some_and(|pg| pg.text))
+        Self::page_span(addr, len as u64)
+            .is_some_and(|mut span| span.any(|p| self.pages.get(&p).is_some_and(|pg| pg.text)))
     }
 
     /// Loads all segments of a linked executable.
@@ -279,12 +282,10 @@ impl Memory {
     /// Returns the number of pages affected. Unmapped pages in the range
     /// fault.
     pub fn mprotect(&mut self, addr: u64, len: u64, prot: Prot) -> Result<u64, MemError> {
-        if len == 0 {
+        let Some(span) = Self::page_span(addr, len) else {
             return Ok(0);
-        }
-        let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len - 1);
-        for p in first..=last {
+        };
+        for p in span.clone() {
             if !self.pages.contains_key(&p) {
                 return Err(MemError {
                     addr: p * PAGE_SIZE,
@@ -302,12 +303,13 @@ impl Memory {
                 mapped: true,
             });
         }
-        for p in first..=last {
+        let pages = span.end() - span.start() + 1;
+        for p in span {
             let page = self.pages.get_mut(&p).expect("checked above");
             page.prot = prot;
             page.text |= prot.exec;
         }
-        Ok(last - first + 1)
+        Ok(pages)
     }
 
     /// Current protection of the page containing `addr`.
@@ -321,16 +323,14 @@ impl Memory {
     /// drop the request — versions are not bumped and stale decoded
     /// instructions keep executing, the classic missing-flush hazard.
     pub fn flush_icache(&mut self, addr: u64, len: u64) {
-        if len == 0 {
+        let Some(span) = Self::page_span(addr, len) else {
             return;
-        }
+        };
         if self.trip_fault(FaultOp::IcacheFlush, addr) {
             return;
         }
         self.flush_epoch += 1;
-        let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len - 1);
-        for p in first..=last {
+        for p in span {
             if let Some(page) = self.pages.get_mut(&p) {
                 page.code_version += 1;
             }
@@ -489,15 +489,16 @@ impl Memory {
         Ok(())
     }
 
-    /// Writes ignoring protection — loader use only.
+    /// Writes ignoring protection — loader use only. Bytes that would
+    /// land past the top of the address space are dropped.
     pub fn write_unchecked(&mut self, addr: u64, data: &[u8]) {
+        let fits = usize::try_from(u64::MAX - addr).map_or(usize::MAX, |n| n.saturating_add(1));
+        let data = &data[..data.len().min(fits)];
         // Ensure pages exist (loader may write into fresh mappings only).
-        if data.is_empty() {
+        let Some(span) = Self::page_span(addr, data.len() as u64) else {
             return;
-        }
-        let first = Self::page_no(addr);
-        let last = Self::page_no(addr + data.len() as u64 - 1);
-        for p in first..=last {
+        };
+        for p in span {
             self.pages.entry(p).or_insert_with(|| Page::new(Prot::RW));
         }
         self.copy_in(addr, data);
@@ -655,5 +656,24 @@ mod tests {
     fn mprotect_unmapped_fails() {
         let mut m = Memory::new();
         assert!(m.mprotect(0x5000, 10, Prot::RW).is_err());
+    }
+
+    #[test]
+    fn top_page_of_the_address_space_is_usable() {
+        let top = u64::MAX - PAGE_SIZE + 1;
+        let mut m = Memory::new();
+        m.map(top, PAGE_SIZE, Prot::RX);
+        m.write_unchecked(u64::MAX - 3, &[1, 2, 3, 4]);
+        assert_eq!(m.mprotect(top, PAGE_SIZE, Prot::RW), Ok(1));
+        m.write(u64::MAX, &[9]).unwrap();
+        assert_eq!(m.read_vec(u64::MAX - 3, 4).unwrap(), vec![1, 2, 3, 9]);
+        m.flush_icache(top, PAGE_SIZE);
+        assert_eq!(m.code_version(u64::MAX), 1);
+        // Ranges running past the top end at the top page.
+        assert_eq!(m.mprotect(u64::MAX, 2, Prot::RX), Ok(1));
+        m.flush_icache(u64::MAX, 2);
+        assert_eq!(m.code_version(u64::MAX), 2);
+        m.write_unchecked(u64::MAX, &[5, 6]);
+        assert_eq!(m.read_vec(u64::MAX, 1).unwrap(), vec![5]);
     }
 }

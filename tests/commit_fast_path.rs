@@ -11,10 +11,10 @@
 //! page's mprotect must roll the transaction back byte-identically.
 
 use multiverse::{Program, World};
-use mvasm::{Assembler, Insn, Reg};
+use mvasm::{Assembler, Insn, Reg, MV64};
 use mvobj::descriptor::{
-    emit_callsite, emit_function, emit_variable, CallsiteDescSym, FnDescSym, GuardSym, VarDescSym,
-    VariantDescSym, NOT_INLINABLE,
+    emit_callsite, emit_function, emit_variable, parse_callsites, CallsiteDescSym, FnDescSym,
+    GuardSym, VarDescSym, VariantDescSym, NOT_INLINABLE,
 };
 use mvobj::{link, Executable, Layout, Object};
 use mvrt::{CommitPhase, Runtime};
@@ -114,24 +114,35 @@ fn batched_commit_does_o_pages_protection_changes() {
 }
 
 #[test]
-fn batched_and_per_site_commits_produce_identical_images() {
-    let (program, mut batched) = committed_world(100);
-    batched.commit().unwrap();
+fn committed_image_matches_the_descriptor_model() {
+    let (program, mut w) = committed_world(100);
+    let pristine = text_of(&program, &w);
 
-    let mut per_site = program.boot();
-    per_site.set("feature", 1).unwrap();
-    per_site.rt.as_mut().unwrap().batch_pages = false;
-    per_site.commit().unwrap();
+    // The model, built from the descriptors alone: the pristine text with
+    // every recorded call to `hot` re-encoded as a direct call to the
+    // selected variant, and the generic entry as a jump to it.
+    let (taddr, _) = program.exe().section(mvobj::SEC_TEXT);
+    let (saddr, ssize) = program.exe().section(mvobj::SEC_MV_CALLSITES);
+    let sites = parse_callsites(&w.machine.mem.read_vec(saddr, ssize as usize).unwrap()).unwrap();
+    let hot = w.sym("hot").unwrap();
+    let variant = w.sym("hot.feature=1").unwrap();
+    let mut model = pristine.clone();
+    let mut put = |addr: u64, bytes: Vec<u8>| {
+        let off = (addr - taddr) as usize;
+        model[off..off + bytes.len()].copy_from_slice(&bytes);
+    };
+    let mut hot_sites = 0;
+    for d in sites.iter().filter(|d| d.callee == hot) {
+        put(d.site, MV64.encode_call(d.site, variant).unwrap());
+        hot_sites += 1;
+    }
+    assert_eq!(hot_sites, 100, "every call to hot is recorded");
+    put(hot, MV64.encode_jmp(hot, variant).unwrap());
 
-    assert_eq!(text_of(&program, &batched), text_of(&program, &per_site));
-
-    // The ablation shows the cost difference the batching removes.
-    let b = batched.rt.as_ref().unwrap().stats;
-    let p = per_site.rt.as_ref().unwrap().stats;
-    assert_eq!(p.mprotects, 2 * p.journal_entries, "per-site: 2 per write");
-    assert!(b.mprotects < p.mprotects);
-    assert!(b.icache_flushes < p.icache_flushes);
-    assert_eq!(p.pages_touched, 0, "legacy path does not batch");
+    w.commit().unwrap();
+    assert_eq!(text_of(&program, &w), model, "committed text");
+    w.revert().unwrap();
+    assert_eq!(text_of(&program, &w), pristine, "reverted text");
 }
 
 #[test]
@@ -294,82 +305,74 @@ fn straddle_pad() -> usize {
 
 #[test]
 fn straddling_site_commit_fixes_both_pages() {
-    let pad = straddle_pad();
-    for batch in [true, false] {
-        let (mut m, exe, mut rt, site) = straddle_fixture(pad);
-        rt.batch_pages = batch;
-        assert_eq!(site % PAGE_SIZE, PAGE_SIZE - 2, "site must straddle");
-        let second_page = (site + 4) & !(PAGE_SIZE - 1);
-        let v0 = (m.mem.code_version(site), m.mem.code_version(second_page));
+    let (mut m, exe, mut rt, site) = straddle_fixture(straddle_pad());
+    assert_eq!(site % PAGE_SIZE, PAGE_SIZE - 2, "site must straddle");
+    let second_page = (site + 4) & !(PAGE_SIZE - 1);
+    let v0 = (m.mem.code_version(site), m.mem.code_version(second_page));
 
-        let report = rt.commit(&mut m).unwrap();
-        assert_eq!(report.variants_committed, 1);
-        assert_eq!(report.sites_touched, 1);
+    let report = rt.commit(&mut m).unwrap();
+    assert_eq!(report.variants_committed, 1);
+    assert_eq!(report.sites_touched, 1);
 
-        // Both pages relocked (W^X restored) and both flushed.
-        assert!(m.mem.write(site, &[0]).is_err(), "first page left RW");
-        assert!(
-            m.mem.write(second_page, &[0]).is_err(),
-            "second page left RW"
-        );
-        let v1 = (m.mem.code_version(site), m.mem.code_version(second_page));
-        assert!(v1.0 > v0.0 && v1.1 > v0.1, "{v0:?} -> {v1:?}");
+    // Both pages relocked (W^X restored) and both flushed.
+    assert!(m.mem.write(site, &[0]).is_err(), "first page left RW");
+    assert!(
+        m.mem.write(second_page, &[0]).is_err(),
+        "second page left RW"
+    );
+    let v1 = (m.mem.code_version(site), m.mem.code_version(second_page));
+    assert!(v1.0 > v0.0 && v1.1 > v0.1, "{v0:?} -> {v1:?}");
 
-        // The committed call reaches the variant: its rel32 points there.
-        let target = exe.symbol("mv.A=1").unwrap();
-        let bytes = m.mem.read_vec(site, 5).unwrap();
-        let (Insn::CallRel { rel }, _) = mvasm::decode(&bytes).unwrap() else {
-            panic!("site does not hold a call")
-        };
-        assert_eq!((site + 5).wrapping_add(rel as i64 as u64), target);
-    }
+    // The committed call reaches the variant: its rel32 points there.
+    let target = exe.symbol("mv.A=1").unwrap();
+    let bytes = m.mem.read_vec(site, 5).unwrap();
+    let (Insn::CallRel { rel }, _) = mvasm::decode(&bytes).unwrap() else {
+        panic!("site does not hold a call")
+    };
+    assert_eq!((site + 5).wrapping_add(rel as i64 as u64), target);
 }
 
 #[test]
 fn straddling_site_fault_sweep_rolls_back_cleanly() {
     let pad = straddle_pad();
-    // Probe a clean commit per mode for the op counts, then fail every
-    // mprotect and every flush position in turn — including the second
-    // page's RW open and RX relock.
-    for batch in [true, false] {
-        let (mut probe_m, _exe, mut probe_rt, _site) = straddle_fixture(pad);
-        probe_rt.batch_pages = batch;
-        probe_rt.commit(&mut probe_m).unwrap();
-        let d = probe_rt.stats;
-        assert!(d.mprotects >= 4, "straddle must touch several pages");
+    // Probe a clean commit for the op counts, then fail every mprotect
+    // and every flush position in turn — including the second page's RW
+    // open and RX relock.
+    let (mut probe_m, _exe, mut probe_rt, _site) = straddle_fixture(pad);
+    probe_rt.commit(&mut probe_m).unwrap();
+    let d = probe_rt.stats;
+    assert!(d.mprotects >= 4, "straddle must touch several pages");
 
-        let schedule = [
-            (FaultOp::Mprotect, d.mprotects),
-            (FaultOp::IcacheFlush, d.icache_flushes),
-            (FaultOp::TextWrite, d.journal_entries),
-        ];
-        for (op, count) in schedule {
-            for n in 1..=count {
-                let (mut m, exe, mut rt, _site) = straddle_fixture(pad);
-                rt.batch_pages = batch;
-                let (taddr, tsize) = exe.section(mvobj::SEC_TEXT);
-                let pristine = m.mem.read_vec(taddr, tsize as usize).unwrap();
+    let schedule = [
+        (FaultOp::Mprotect, d.mprotects),
+        (FaultOp::IcacheFlush, d.icache_flushes),
+        (FaultOp::TextWrite, d.journal_entries),
+    ];
+    for (op, count) in schedule {
+        for n in 1..=count {
+            let (mut m, exe, mut rt, _site) = straddle_fixture(pad);
+            let (taddr, tsize) = exe.section(mvobj::SEC_TEXT);
+            let pristine = m.mem.read_vec(taddr, tsize as usize).unwrap();
 
-                m.inject_fault(FaultPlan::new(op, n));
-                let err = rt
-                    .commit(&mut m)
-                    .expect_err(&format!("batch={batch} {op:?}@{n} must surface"));
-                assert_eq!(
-                    err.commit_phase(),
-                    Some(CommitPhase::Apply),
-                    "batch={batch} {op:?}@{n}: {err:?}"
-                );
-                assert_eq!(
-                    m.mem.read_vec(taddr, tsize as usize).unwrap(),
-                    pristine,
-                    "batch={batch} {op:?}@{n} tore the text"
-                );
-                assert_eq!(rt.stats.rollbacks, 1, "batch={batch} {op:?}@{n}");
+            m.inject_fault(FaultPlan::new(op, n));
+            let err = rt
+                .commit(&mut m)
+                .expect_err(&format!("{op:?}@{n} must surface"));
+            assert_eq!(
+                err.commit_phase(),
+                Some(CommitPhase::Apply),
+                "{op:?}@{n}: {err:?}"
+            );
+            assert_eq!(
+                m.mem.read_vec(taddr, tsize as usize).unwrap(),
+                pristine,
+                "{op:?}@{n} tore the text"
+            );
+            assert_eq!(rt.stats.rollbacks, 1, "{op:?}@{n}");
 
-                // One-shot fault has fired; the same commit heals.
-                let report = rt.commit(&mut m).unwrap();
-                assert_eq!(report.variants_committed, 1);
-            }
+            // One-shot fault has fired; the same commit heals.
+            let report = rt.commit(&mut m).unwrap();
+            assert_eq!(report.variants_committed, 1);
         }
     }
 }

@@ -84,9 +84,9 @@ fn real_runtime_always_flushes() {
     let mut w = program.boot();
     assert_eq!(w.call("use_it", &[]).unwrap(), 2);
 
-    // The library's commit takes effect immediately — with page batching
-    // (the default) every *touched page* is flushed exactly once, which
-    // is what makes the new code visible.
+    // The library's commit takes effect immediately — every *touched
+    // page* is flushed exactly once, which is what makes the new code
+    // visible.
     w.set("fast", 1).unwrap();
     w.commit().unwrap();
     assert_eq!(w.call("use_it", &[]).unwrap(), 1);
@@ -95,23 +95,5 @@ fn real_runtime_always_flushes() {
     assert!(stats.icache_flushes >= stats.pages_touched);
 
     // And every mprotect unlock has a matching relock (W^X window).
-    assert_eq!(stats.mprotects % 2, 0);
-}
-
-#[test]
-fn unbatched_runtime_flushes_per_patch() {
-    let program = Program::build(&[("t.c", SRC)]).unwrap();
-    let mut w = program.boot();
-    assert_eq!(w.call("use_it", &[]).unwrap(), 2);
-
-    // With batching off the legacy discipline holds: one flush per
-    // patched range (sites and entry jumps alike).
-    w.rt.as_mut().unwrap().batch_pages = false;
-    w.set("fast", 1).unwrap();
-    w.commit().unwrap();
-    assert_eq!(w.call("use_it", &[]).unwrap(), 1);
-    let stats = w.rt.as_ref().unwrap().stats;
-    assert!(stats.icache_flushes >= stats.sites_patched + stats.entry_jumps);
-    assert_eq!(stats.pages_touched, 0);
     assert_eq!(stats.mprotects % 2, 0);
 }
