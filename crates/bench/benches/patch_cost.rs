@@ -18,13 +18,11 @@ fn bench(c: &mut Criterion) {
 
     println!("## tracing overhead on the commit path (commit+revert, batched)");
     for n_sites in [16usize, 128, 1161] {
-        let (baseline, recording, disabled) = mv_bench::tracing_overhead(n_sites);
+        let (baseline, recording) = mv_bench::tracing_overhead(n_sites);
         let rec = recording.as_secs_f64() / baseline.as_secs_f64() - 1.0;
-        let dis = disabled.as_secs_f64() / baseline.as_secs_f64() - 1.0;
         println!(
-            "{n_sites:>5} sites: baseline {baseline:>10.2?}  recording {recording:>10.2?} ({:+.1}%)  disabled {disabled:>10.2?} ({:+.1}%)",
-            rec * 100.0,
-            dis * 100.0
+            "{n_sites:>5} sites: baseline {baseline:>10.2?}  recording {recording:>10.2?} ({:+.1}%)",
+            rec * 100.0
         );
     }
     println!();

@@ -121,13 +121,11 @@ fn main() {
             "{}",
             b::render_latency_table(&b::commit_latency_percentiles(1161, rounds))
         );
-        let (baseline, recording, disabled) = b::tracing_overhead(1161);
+        let (baseline, recording) = b::tracing_overhead(1161);
         let rec_pct = recording.as_secs_f64() / baseline.as_secs_f64() - 1.0;
-        let dis_pct = disabled.as_secs_f64() / baseline.as_secs_f64() - 1.0;
         println!(
-            "tracing overhead: baseline {baseline:>9.2?}  recording {recording:>9.2?} ({:+.1}%)  disabled {disabled:>9.2?} ({:+.1}%)\n",
-            rec_pct * 100.0,
-            dis_pct * 100.0
+            "tracing overhead: baseline {baseline:>9.2?}  recording {recording:>9.2?} ({:+.1}%)\n",
+            rec_pct * 100.0
         );
     }
     if want("--btb") {

@@ -327,7 +327,6 @@ pub fn commit_latency_percentiles(n_sites: usize, rounds: usize) -> Vec<PhaseLat
             total.push(c.duration_ns());
         }
     }
-    multiverse::mvtrace::set_enabled(false);
     [
         ("plan", plan),
         ("validate", validate),
@@ -367,21 +366,12 @@ pub fn render_latency_table(rows: &[PhaseLatency]) -> String {
 }
 
 /// Best-of batched commit+revert wall times for the tracing overhead
-/// column: `(baseline, recording, disabled)`.
+/// column: `(baseline, recording)`.
 ///
-/// * `baseline` — tracing never enabled (the default every user gets);
-/// * `recording` — a 2^16-event ring installed and the global flag on;
-/// * `disabled` — ring drained and flag off again, i.e. the steady-state
-///   cost of the instrumentation points themselves: one branch per
-///   would-be event. The acceptance bar is `disabled` within ≈1 % of
-///   `baseline`.
-pub fn tracing_overhead(
-    n_sites: usize,
-) -> (
-    std::time::Duration,
-    std::time::Duration,
-    std::time::Duration,
-) {
+/// * `baseline` — no ring installed (the default every user gets): the
+///   instrumentation points cost one branch per would-be event;
+/// * `recording` — a 2^16-event ring installed.
+pub fn tracing_overhead(n_sites: usize) -> (std::time::Duration, std::time::Duration) {
     use std::time::Instant;
     let src = many_callsites_src(n_sites);
     let program = Program::build(&[("sites.c", &src)]).expect("build");
@@ -407,10 +397,8 @@ pub fn tracing_overhead(
     let baseline = batch(&mut w);
     w.rt.as_mut().unwrap().enable_tracing(1 << 16);
     let recording = batch(&mut w);
-    multiverse::mvtrace::set_enabled(false);
     w.rt.as_mut().unwrap().take_trace();
-    let disabled = batch(&mut w);
-    (baseline, recording, disabled)
+    (baseline, recording)
 }
 
 /// Best-of batched commit+revert wall times for the metrics overhead
@@ -725,8 +713,10 @@ pub const VEXEC_DOC: BenchDoc = BenchDoc {
 };
 
 impl BenchDoc {
-    /// Renders the document with `rows`, writes it to [`BenchDoc::file`]
-    /// at the workspace root and returns the text.
+    /// Renders the document with `rows` and returns the text. Optimized
+    /// builds also write it to [`BenchDoc::file`] at the workspace root;
+    /// debug builds leave the committed file alone, since their timings
+    /// are not the trajectory.
     pub fn write(&self, rows: impl IntoIterator<Item = json::Obj>) -> String {
         let rows: Vec<String> = rows.into_iter().map(|r| r.finish()).collect();
         let text = format!(
@@ -735,10 +725,13 @@ impl BenchDoc {
             json::string(self.unit),
             rows.join(",\n    ")
         );
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(self.file);
-        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        if !cfg!(debug_assertions) {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(self.file);
+            std::fs::write(&path, &text)
+                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        }
         text
     }
 }
@@ -1042,9 +1035,9 @@ pub fn vm_throughput_exe(iters: i64) -> mvobj::Executable {
 }
 
 /// The engines [`measure_tiers`] compares, in row order: the tierless
-/// oracle, the tiered engine with no native regions (as under the
-/// `mv64` backend), and the tiered engine with the workload's roots
-/// lowered to native regions (as under the `native` backend).
+/// oracle, the machine's tiered block engine with no native regions
+/// registered, and the tiered engine with the workload's roots lowered
+/// to native regions (what a tiered `World` runs).
 pub const TIER_ROWS: [&str; 3] = ["tierless", "tiered", "tiered + regions"];
 
 /// Shared tier-throughput harness: one untimed run per [`TIER_ROWS`]
@@ -1052,9 +1045,8 @@ pub const TIER_ROWS: [&str; 3] = ["tierless", "tiered", "tiered + regions"];
 /// records the observation tuple, then the best of `trials` timed warm
 /// runs yields the throughput. Tierless is the identity baseline. For
 /// the "tiered + regions" row the `native_roots` symbols are lowered
-/// into the machine's region registry up front — the role the `native`
-/// runtime backend's post-commit sync plays when a full runtime is
-/// attached.
+/// into the machine's region registry up front — the role
+/// `Runtime::sync_native` plays when a full runtime is attached.
 fn measure_tiers(
     exe: &mvobj::Executable,
     trials: u32,
@@ -1220,14 +1212,14 @@ pub struct VexecRow {
     pub equivalent: bool,
     /// Host wall time of the variational pass, ms (median of 9 passes).
     pub vexec_ms: f64,
-    /// Host wall time of the enumeration replay on the native backend
+    /// Host wall time of the enumeration replay on the tiered engine
     /// (one boot, then a [`multiverse::World::fork`] per leaf), ms
     /// (median of 9 replays).
     pub enum_ms: f64,
-    /// The same replay on a tierless world (`Program::boot`, no
-    /// backend installed), ms (median of 9 replays).
+    /// The same replay on a tierless world (`Program::boot` as is), ms
+    /// (median of 9 replays).
     pub enum_tierless_ms: f64,
-    /// Host wall time of `Program::boot` + `set_backend("native")`, µs
+    /// Host wall time of `Program::boot` + `set_tier(Tiered)`, µs
     /// (median of 15 trials).
     pub boot_us: f64,
     /// Host wall time of forking that booted world, µs (median of 15
@@ -1266,17 +1258,17 @@ fn median_us<T>(trials: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// configuration is booted uncommitted, `main` (which calls every
 /// multiversed function) runs once under [`multiverse::World::vexec_in`]
 /// across the whole recovered cross product, and then every leaf is
-/// replayed via [`multiverse::enumerate_check_with`] on the native
-/// backend and again on a tierless world — both to certify equivalence
+/// replayed via [`multiverse::enumerate_check_with`] on the tiered
+/// engine and again on a tierless world — both to certify equivalence
 /// and to price the enumeration baseline, in the same deterministic
 /// instruction currency and in host wall time. The wall-clock columns
-/// also price a native boot against a fork of it.
+/// also price a tiered boot against a fork of it.
 pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
     use multiverse::mvc::Options;
-    let boot_native = |program: &Program| {
+    let boot_tiered = |program: &Program| {
         let mut w = program.boot();
-        w.set_backend("native")?;
-        Ok(w)
+        w.set_tier(ExecTier::Tiered);
+        w
     };
     let mut rows = Vec::new();
     for &(n_funcs, n_switches, domain) in configs {
@@ -1293,13 +1285,19 @@ pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
         });
         assert_eq!(report.leaves.len(), space.leaf_count(), "full coverage");
         let (enum_us, chk) = median_us(PASS_TRIALS, || {
-            multiverse::enumerate_check_with(|| boot_native(&program), &space, "main", &[], &report)
+            multiverse::enumerate_check_with(
+                || Ok(boot_tiered(&program)),
+                &space,
+                "main",
+                &[],
+                &report,
+            )
         });
         let (enum_tierless_us, tierless) = median_us(PASS_TRIALS, || {
             multiverse::enumerate_check_with(|| Ok(program.boot()), &space, "main", &[], &report)
         });
-        let (boot_us, _) = median_us(WALL_TRIALS, || boot_native(&program).expect("boot"));
-        let base = boot_native(&program).expect("boot");
+        let (boot_us, _) = median_us(WALL_TRIALS, || boot_tiered(&program));
+        let base = boot_tiered(&program);
         let (fork_us, _) = median_us(WALL_TRIALS, || base.fork());
         let certified = |c: &Result<multiverse::ReplayCheck, _>| {
             c.as_ref()

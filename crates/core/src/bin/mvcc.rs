@@ -116,15 +116,12 @@
 //!   --strategy S         concurrent-commit protocol for --smp commits:
 //!                        stop-machine (default) or breakpoint
 //!   --tier T             execution engine: tierless (default) or tiered
-//!                        (decoded blocks, fused superblocks and any
-//!                        registered native regions) — observationally
-//!                        identical; tiered runs print the block-cache
-//!                        and native-region counters
-//!   --backend B          runtime backend: mv64 (default) or native —
-//!                        identical committed images; the native backend
-//!                        additionally lowers live function bodies to
-//!                        pre-resolved regions after every commit and
-//!                        moves the machine to the tiered engine
+//!                        (decoded blocks, fused superblocks, and every
+//!                        multiversed function's live body lowered to a
+//!                        native region, kept in step by each commit) —
+//!                        observationally identical; tiered runs print
+//!                        the block-cache and native-region counters
+//!   -h / --help          print the usage line and exit
 //! ```
 
 use multiverse::mvc::Options;
@@ -148,10 +145,7 @@ struct Args {
     stats_flag: bool,
     smp: usize,
     strategy: mvrt::CommitStrategy,
-    /// `--tier`, if given: an explicit tier makes a conflicting
-    /// `--backend` an error instead of a silent override.
-    tier: Option<multiverse::mvvm::ExecTier>,
-    backend: Option<String>,
+    tier: multiverse::mvvm::ExecTier,
     configs: String,
     oracle: bool,
     smoke: bool,
@@ -163,11 +157,25 @@ struct Args {
     history: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Every subcommand, as the usage line and the missing-command error
+/// name them.
+const COMMANDS: &str =
+    "build|compile|link|dump|disasm|run|vexec|verify|trace|stats|metrics|serve|storm";
+
+fn usage() -> String {
+    format!("usage: mvcc {COMMANDS} <file.c>… [flags]")
+}
+
+/// The command to run, or `None` when `-h`/`--help` asks for the usage
+/// line.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut it = std::env::args().skip(1);
     let cmd = it
         .next()
-        .ok_or("missing command (build|compile|link|dump|disasm|run|verify|trace|stats)")?;
+        .ok_or_else(|| format!("missing command ({COMMANDS})"))?;
+    if cmd == "-h" || cmd == "--help" {
+        return Ok(None);
+    }
     let mut args = Args {
         cmd,
         files: Vec::new(),
@@ -185,8 +193,7 @@ fn parse_args() -> Result<Args, String> {
         stats_flag: false,
         smp: 0,
         strategy: mvrt::CommitStrategy::default(),
-        tier: None,
-        backend: None,
+        tier: multiverse::mvvm::ExecTier::default(),
         configs: "all".to_string(),
         oracle: false,
         smoke: false,
@@ -254,18 +261,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--tier" => {
                 let s = it.next().ok_or("--tier needs an engine name")?;
-                args.tier = Some(
-                    multiverse::mvvm::ExecTier::parse(&s)
-                        .ok_or(format!("unknown tier `{s}` (tierless|tiered)"))?,
-                );
+                args.tier = multiverse::mvvm::ExecTier::parse(&s)
+                    .ok_or(format!("unknown tier `{s}` (tierless|tiered)"))?;
             }
-            "--backend" => {
-                let s = it.next().ok_or("--backend needs a backend name")?;
-                if mvrt::backend::parse(&s).is_none() {
-                    return Err(format!("unknown backend `{s}` (mv64|native)"));
-                }
-                args.backend = Some(s);
-            }
+            "-h" | "--help" => return Ok(None),
             "--configs" => {
                 let s = it.next().ok_or("--configs needs a mode (all|sampled)")?;
                 if s != "all" && s != "sampled" {
@@ -305,26 +304,12 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    // A backend that forces an execution tier (`--backend native` needs
-    // the tiered engine) contradicts an explicit `--tier tierless`.
-    // set_backend runs after set_tier, so the backend would win
-    // silently; fail fast instead and name both flags.
-    if let (Some(tier), Some(b)) = (args.tier, &args.backend) {
-        if let Some(pt) = mvrt::backend::parse(b).and_then(|bk| bk.preferred_tier()) {
-            if pt != tier {
-                return Err(format!(
-                    "conflicting flags: `--backend {b}` forces the `{pt}` execution \
-                     tier, but `--tier {tier}` was also given; drop one of the two flags"
-                ));
-            }
-        }
-    }
     if args.files.is_empty()
         && !(matches!(args.cmd.as_str(), "storm" | "metrics" | "vexec") && args.smoke)
     {
         return Err("no input files".into());
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn read_units(args: &Args) -> Result<Vec<(String, String)>, String> {
@@ -358,7 +343,6 @@ fn cmd_build(args: &Args) -> Result<(), String> {
         .collect();
     let mut pipeline = multiverse::mvc::Pipeline::new(args.opts.clone());
     if args.timings {
-        multiverse::mvtrace::set_enabled(true);
         pipeline.enable_tracing(65536);
     }
     let p = Program::build_with_pipeline(&refs, &mut pipeline, args.opts.multiverse)
@@ -495,10 +479,7 @@ fn print_quiesce(q: &mvrt::QuiesceReport) {
 /// `verify --smp` and `serve`.
 fn boot_smp_workers(args: &Args, p: &Program, smp: usize) -> Result<multiverse::SmpWorld, String> {
     let mut w = p.boot_smp(smp);
-    w.smp.set_tier(args.tier.unwrap_or_default());
-    if let Some(b) = &args.backend {
-        w.set_backend(b).map_err(|e| e.to_string())?;
-    }
+    w.set_tier(args.tier);
     for (k, v) in &args.sets {
         w.set(k, *v).map_err(|e| e.to_string())?;
         println!("set {k} = {v}");
@@ -556,8 +537,8 @@ fn cmd_run_smp(args: &Args, p: &Program) -> Result<(), String> {
 
 /// Prints the block-cache counters (`blocks`, rolled up over every
 /// vCPU under SMP) and `m`'s native-region counters, including why
-/// registered regions went unused, after a `--tier tiered` (or
-/// `--backend native`) run; tierless runs have neither layer to report.
+/// registered regions went unused, after a `--tier tiered` run;
+/// tierless runs have neither layer to report.
 fn print_tier_stats(m: &multiverse::mvvm::Machine, s: multiverse::mvvm::BlockCacheStats) {
     let tier = m.tier();
     if tier == multiverse::mvvm::ExecTier::Tierless {
@@ -588,10 +569,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return cmd_run_smp(args, &p);
     }
     let mut world = p.boot();
-    world.machine.set_tier(args.tier.unwrap_or_default());
-    if let Some(b) = &args.backend {
-        world.set_backend(b).map_err(|e| e.to_string())?;
-    }
+    world.set_tier(args.tier);
     for (k, v) in &args.sets {
         world.set(k, *v).map_err(|e| e.to_string())?;
         println!("set {k} = {v}");
@@ -1590,12 +1568,14 @@ fn cmd_link(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("mvcc: {e}");
-            eprintln!(
-                "usage: mvcc build|compile|link|dump|disasm|run|vexec|verify|trace|stats|metrics|serve|storm <file.c>… [flags]"
-            );
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };

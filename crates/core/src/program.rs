@@ -6,7 +6,7 @@ use mvrt::{
     CommitDaemon, CommitReport, CommitStrategy, Lane, MvdOp, QuiesceOp, QuiesceReport, RequestId,
     RtError, Runtime,
 };
-use mvvm::{CostModel, Fault, Machine, MachineConfig, SmpMachine, Stats};
+use mvvm::{CostModel, ExecTier, Fault, Machine, MachineConfig, SmpMachine, Stats};
 use std::fmt;
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ pub enum BuildError {
     Rt(RtError),
     /// A symbol was not found in the image.
     NoSymbol(String),
-    /// A runtime backend name did not parse (see [`World::set_backend`]).
+    /// A backend name did not parse (see [`World::set_backend`]).
     UnknownBackend(String),
 }
 
@@ -38,6 +38,15 @@ impl fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
+
+/// The tier an older engine name stands for (see [`World::set_backend`]).
+fn tier_of_backend(name: &str) -> Result<ExecTier, BuildError> {
+    match name {
+        "mv64" => Ok(ExecTier::Tierless),
+        "native" | "host" => Ok(ExecTier::Tiered),
+        _ => Err(BuildError::UnknownBackend(name.to_string())),
+    }
+}
 
 impl From<mvc::CompileError> for BuildError {
     fn from(e: mvc::CompileError) -> Self {
@@ -217,21 +226,24 @@ impl World {
         Ok(self.machine.call(addr, args)?)
     }
 
-    /// Installs a runtime backend by CLI name (`mv64`, `native`): moves
-    /// the machine to the backend's preferred execution tier and runs an
-    /// immediate reconcile so the tier is live before the next call, not
-    /// only after the next commit. Unknown names report an error; without
-    /// an attached runtime only the tier change applies.
+    /// Selects the execution tier and reconciles native regions at once
+    /// ([`Runtime::sync_native`]), so on [`ExecTier::Tiered`] every
+    /// multiversed function's live entry runs as a region before the
+    /// first commit. Every later commit keeps the regions in step.
+    pub fn set_tier(&mut self, tier: ExecTier) {
+        self.machine.set_tier(tier);
+        if let Some(rt) = &self.rt {
+            rt.sync_native(&mut self.machine);
+        }
+    }
+
+    /// [`World::set_tier`] by an older engine name: `mv64` selects
+    /// [`ExecTier::Tierless`], `native` or `host` [`ExecTier::Tiered`];
+    /// any other name is [`BuildError::UnknownBackend`]. It stays only
+    /// because the repository benchmark (`benchmark/`) selects its
+    /// engine by name; new code calls [`World::set_tier`].
     pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
-        let backend = mvrt::backend::parse(name)
-            .ok_or_else(|| BuildError::UnknownBackend(name.to_string()))?;
-        if let Some(tier) = backend.preferred_tier() {
-            self.machine.set_tier(tier);
-        }
-        if let Some(rt) = self.rt.as_mut() {
-            rt.set_backend(backend);
-            rt.sync_backend(&mut self.machine);
-        }
+        self.set_tier(tier_of_backend(name)?);
         Ok(())
     }
 
@@ -365,21 +377,23 @@ impl SmpWorld {
         self.smp.vcpus()
     }
 
-    /// Installs a runtime backend by CLI name, like [`World::set_backend`].
-    /// Under SMP the tiered engine never runs native regions while the
-    /// vCPUs' sticky instruction caches are active (each such step counts
-    /// an `smp` bypass in [`mvvm::NativeStats`]), so this only changes
-    /// patch policy and post-commit bookkeeping, never SMP semantics.
+    /// Selects the execution tier for every vCPU and reconciles native
+    /// regions at once, like [`World::set_tier`]. Under SMP the tiered
+    /// engine never runs native regions while the vCPUs' sticky
+    /// instruction caches are active (each such step counts an `smp`
+    /// bypass in [`mvvm::NativeStats`]), so regions change bookkeeping,
+    /// never SMP semantics.
+    pub fn set_tier(&mut self, tier: ExecTier) {
+        self.smp.set_tier(tier);
+        if let Some(rt) = &self.rt {
+            rt.sync_native(&mut self.smp.machine);
+        }
+    }
+
+    /// [`SmpWorld::set_tier`] by an older engine name, with the mapping
+    /// of [`World::set_backend`].
     pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
-        let backend = mvrt::backend::parse(name)
-            .ok_or_else(|| BuildError::UnknownBackend(name.to_string()))?;
-        if let Some(tier) = backend.preferred_tier() {
-            self.smp.machine.set_tier(tier);
-        }
-        if let Some(rt) = self.rt.as_mut() {
-            rt.set_backend(backend);
-            rt.sync_backend(&mut self.smp.machine);
-        }
+        self.set_tier(tier_of_backend(name)?);
         Ok(())
     }
 
@@ -661,13 +675,12 @@ mod tests {
     }
 
     #[test]
-    fn smp_native_backend_counts_smp_bypasses() {
+    fn smp_tiered_world_counts_smp_bypasses() {
         // Sticky per-vCPU icaches keep the registered native regions off:
         // every tiered step that found them counts as an `smp` bypass.
         let p = Program::build(&[("t", SMP_SRC)]).unwrap();
         let mut w = p.boot_smp(2);
-        w.set_backend("native").unwrap();
-        assert_eq!(w.smp.tier(), mvvm::ExecTier::Tiered);
+        w.set_tier(ExecTier::Tiered);
         w.spawn_all("worker", &[50]).unwrap();
         for _ in 0..4 {
             w.smp.step_round();
@@ -678,7 +691,7 @@ mod tests {
             assert!((500..=1000).contains(&r) && r % 10 == 0, "sum {r}");
         }
         let n = w.smp.machine.native_stats();
-        assert!(n.regions > 0, "the backend registered no region: {n:?}");
+        assert!(n.regions > 0, "no region registered: {n:?}");
         assert_eq!(n.runs, 0, "a region ran under SMP: {n:?}");
         assert!(n.bypass_smp > 0, "no smp bypass counted: {n:?}");
         assert_eq!((n.bypass_trace, n.bypass_profile), (0, 0), "{n:?}");

@@ -85,7 +85,7 @@ pub fn checked_rel32(next: u64, target: u64) -> Option<i32> {
 /// runtimes store them behind shared handles and the commit daemon moves
 /// whole runtimes across threads.
 pub trait Backend: Send + Sync {
-    /// Backend name (for reports and the `--backend` CLI flag).
+    /// Backend name (for reports).
     fn name(&self) -> &'static str;
 
     /// Width in bytes of a patchable call site: one whole `call rel32`.

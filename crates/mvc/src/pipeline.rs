@@ -352,8 +352,7 @@ impl Pipeline {
     }
 
     /// Installs a bounded event ring; subsequent compiles emit
-    /// `stage_begin`/`stage_end`/`cache_query` events into it (only
-    /// while [`mvtrace::enabled`] is on, mirroring the runtime).
+    /// `stage_begin`/`stage_end`/`cache_query` events into it.
     pub fn enable_tracing(&mut self, cap: usize) {
         self.tracer = Some(TraceRing::new(cap));
     }
@@ -371,9 +370,7 @@ impl Pipeline {
     #[inline]
     fn emit(&mut self, kind: impl FnOnce() -> EventKind) {
         if let Some(ring) = self.tracer.as_mut() {
-            if mvtrace::enabled() {
-                ring.record(kind());
-            }
+            ring.record(kind());
         }
     }
 

@@ -13,7 +13,7 @@
 
 use crate::error::RtError;
 use crate::stats::PatchStats;
-use mvasm::{Backend, Insn};
+use mvasm::{Insn, MV64};
 use mvobj::Prot;
 use mvvm::{Machine, PAGE_SIZE};
 
@@ -38,12 +38,12 @@ pub fn patch_bytes(
 }
 
 /// Decodes the instruction currently at `addr`, reading the longest
-/// available byte prefix up to the backend's maximum instruction length
+/// available byte prefix up to MV64's maximum instruction length
 /// — near the end of a mapping fewer bytes may be readable, and an
 /// instruction is decodable from exactly its own encoding.
-pub fn insn_at(m: &Machine, abi: &dyn Backend, addr: u64) -> Result<Insn, RtError> {
+pub fn insn_at(m: &Machine, addr: u64) -> Result<Insn, RtError> {
     let mut bytes = None;
-    for n in (1..=abi.max_insn_len()).rev() {
+    for n in (1..=MV64.max_insn_len()).rev() {
         match m.mem.read_vec(addr, n) {
             Ok(v) => {
                 bytes = Some(v);
@@ -182,7 +182,7 @@ mod tests {
         });
         let (m, text) = machine_with_text(&code);
         assert_eq!(
-            insn_at(&m, MV64, text).unwrap(),
+            insn_at(&m, text).unwrap(),
             Insn::MovRI {
                 dst: Reg::R3,
                 imm: 9
@@ -217,13 +217,13 @@ mod tests {
             m.mem.read_vec(addr, MV64.max_insn_len()).is_err(),
             "a max-length read must not fit, or the test proves nothing"
         );
-        assert_eq!(insn_at(&m, MV64, addr).unwrap(), insn);
+        assert_eq!(insn_at(&m, addr).unwrap(), insn);
     }
 
     #[test]
     fn insn_at_surfaces_the_memory_error_on_unmapped_addresses() {
         let m = Machine::new(CostModel::default(), MachineConfig::default());
-        let err = insn_at(&m, MV64, 0xdead_0000).unwrap_err();
+        let err = insn_at(&m, 0xdead_0000).unwrap_err();
         assert!(matches!(err, RtError::Mem(_)), "{err:?}");
     }
 }

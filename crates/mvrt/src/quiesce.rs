@@ -52,6 +52,7 @@
 use crate::error::RtError;
 use crate::runtime::{CommitReport, PatchStrategy, Runtime};
 use crate::txn::TxnOp;
+use mvasm::MV64;
 use mvtrace::EventKind;
 use mvvm::{FaultOp, Machine, MemError, SmpMachine, VcpuState};
 
@@ -194,7 +195,7 @@ fn danger_regions(rt: &Runtime, op: TxnOp) -> Result<Vec<(u64, u64)>, RtError> {
         let g = f.generic;
         // The completeness entry jump overwrites the first call-site's
         // worth of generic bytes in every strategy.
-        regions.push((g, g + rt.abi().call_site_len() as u64));
+        regions.push((g, g + MV64.call_site_len() as u64));
         if matches!(rt.strategy, PatchStrategy::CallSites) {
             if let Some(idxs) = rt.tables.sites_of.get(&g) {
                 for &si in idxs {
@@ -446,7 +447,7 @@ impl Runtime {
 
         // Plant a trap byte over the first byte of every region,
         // journaled locally so a mid-plant fault can unwind.
-        let trap = self.abi().trap_byte();
+        let trap = MV64.trap_byte();
         let mut planted: Vec<(u64, u8)> = Vec::new();
         for &(start, _) in &regions {
             let mut orig = [0u8; 1];

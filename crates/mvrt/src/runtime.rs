@@ -7,19 +7,18 @@
 //! pass performs it; any apply failure rolls the journal back so the
 //! text segment is left byte-identical to its pre-call state.
 
-use crate::backend::{Mv64RtBackend, RtBackend};
 use crate::error::RtError;
 use crate::journal::Journal;
 use crate::patch::{insn_at, PageBatch};
 use crate::stats::{PatchStats, PatchTiming};
 use crate::txn::{RetryPolicy, TxnOp};
-use mvasm::Insn;
+use mvasm::{Insn, MV64};
 use mvobj::descriptor::{
     parse_callsites, parse_functions, parse_variables, CallsiteDesc, FnDesc, VarDesc, NOT_INLINABLE,
 };
 use mvobj::{Executable, SEC_MV_CALLSITES, SEC_MV_FUNCTIONS, SEC_MV_VARIABLES};
 use mvtrace::{EventKind, TraceRing};
-use mvvm::{FxBuildHasher, Machine};
+use mvvm::{ExecTier, FxBuildHasher, Machine};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -149,9 +148,6 @@ pub struct Runtime {
     /// (default: off — commits then pay one branch per operation and
     /// nothing else).
     pub metrics: Option<crate::metrics::RtMetrics>,
-    /// The runtime backend: ABI encodings and the post-commit sync hook
-    /// (default: [`Mv64RtBackend`]).
-    pub(crate) backend: Arc<dyn RtBackend>,
 }
 
 impl Runtime {
@@ -180,16 +176,13 @@ impl Runtime {
             .enumerate()
             .map(|(i, f)| (f.generic, i))
             .collect();
-
-        let backend: Arc<dyn RtBackend> = Arc::new(Mv64RtBackend);
-        let abi = backend.abi();
         let mut sites = Vec::with_capacity(site_descs.len());
         let mut sites_of: HashMap<u64, Vec<usize>, FxBuildHasher> = HashMap::default();
         for desc in site_descs {
-            let insn = insn_at(m, abi, desc.site)?;
+            let insn = insn_at(m, desc.site)?;
             let len = match insn {
                 Insn::CallRel { rel } => {
-                    let t = abi.call_target(desc.site, rel);
+                    let t = MV64.call_target(desc.site, rel);
                     if t != desc.callee {
                         return Err(RtError::SiteVerifyFailed {
                             site: desc.site,
@@ -199,7 +192,7 @@ impl Runtime {
                             ),
                         });
                     }
-                    abi.call_site_len()
+                    MV64.call_site_len()
                 }
                 Insn::CallMem { addr } => {
                     if addr != desc.callee {
@@ -257,14 +250,13 @@ impl Runtime {
             tracer: None,
             last_timing: PatchTiming::default(),
             metrics: None,
-            backend,
         })
     }
 
     /// A copy of this runtime for a fork of the machine it is attached
     /// to ([`Machine::fork`]). The descriptor tables are shared through
     /// an `Arc`; function and call-site bindings, saved prologues,
-    /// journal state, statistics, settings and the backend are copied.
+    /// journal state, statistics and settings are copied.
     /// The fork does not inherit a trace ring or metrics handles.
     pub fn fork(&self) -> Runtime {
         Runtime {
@@ -282,37 +274,41 @@ impl Runtime {
             tracer: None,
             last_timing: self.last_timing,
             metrics: None,
-            backend: Arc::clone(&self.backend),
         }
     }
 
-    /// The ISA contract of the installed backend — every encoding and
-    /// width decision in the runtime funnels through here.
-    #[inline]
-    pub(crate) fn abi(&self) -> &'static dyn mvasm::Backend {
-        self.backend.abi()
-    }
-
-    /// Installs a runtime backend (see [`crate::backend`]). Takes
-    /// effect on the next operation; for the native-tier backend the
-    /// first post-commit sync lowers the machine's live bodies. Call
-    /// [`Runtime::sync_backend`] to reconcile immediately.
-    pub fn set_backend(&mut self, backend: Arc<dyn RtBackend>) {
-        self.backend = backend;
-    }
-
-    /// Name of the installed backend (`"mv64"` unless changed).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Runs the backend's post-commit sync hook immediately — the same
-    /// reconciliation every successful commit performs. Useful right
-    /// after [`Runtime::set_backend`] so the machine does not wait for
-    /// the first commit to pick up the tier.
-    pub fn sync_backend(&mut self, m: &mut Machine) {
-        let b = Arc::clone(&self.backend);
-        b.sync(m, self);
+    /// Reconciles `m`'s native regions with the live entry of every
+    /// multiversed function: the committed variant, or the generic body
+    /// under fallback. Regions whose root is no longer live are dropped
+    /// and every live entry is lowered. A no-op on a
+    /// [`ExecTier::Tierless`] machine, which never runs regions.
+    ///
+    /// Every successful commit or revert calls this once; call it
+    /// directly after moving a machine to [`ExecTier::Tiered`] so the
+    /// regions are live before the first commit.
+    pub fn sync_native(&self, m: &mut Machine) {
+        if m.tier() == ExecTier::Tierless {
+            return;
+        }
+        // Entry-jump chasing is unnecessary: a Variant binding means
+        // calls land on the variant directly (patched sites) or via the
+        // entry jump, and the jump itself stays on the block engine.
+        let live: Vec<u64> = self
+            .fns
+            .iter()
+            .zip(&self.tables.fns)
+            .map(|(f, desc)| match f.binding {
+                FnBinding::Variant(v) => v,
+                FnBinding::Generic => desc.generic,
+            })
+            .collect();
+        m.retain_native(|entry| live.contains(&entry));
+        for &entry in &live {
+            // Best-effort: a body the lowerer cannot digest (indirect
+            // control flow up front, unmapped pages) stays on the block
+            // engine; semantics are tier-independent.
+            m.ensure_native(entry);
+        }
     }
 
     /// Registers the `mv_rt_*` metric family in `registry` and starts
@@ -325,17 +321,14 @@ impl Runtime {
     }
 
     /// Installs a bounded event ring (capacity clamped to
-    /// [`mvtrace::MAX_RING_CAP`]) and globally enables tracing. Every
-    /// subsequent commit/revert emits its span events into the ring.
+    /// [`mvtrace::MAX_RING_CAP`]). Every subsequent commit/revert emits
+    /// its span events into the ring.
     pub fn enable_tracing(&mut self, cap: usize) {
-        mvtrace::set_enabled(true);
         self.tracer = Some(TraceRing::new(cap));
     }
 
     /// Uninstalls the ring and returns everything it buffered (oldest
-    /// first). Returns an empty vec if tracing was never enabled. The
-    /// global enabled flag is left on: other runtimes in the process may
-    /// still be tracing.
+    /// first). Returns an empty vec if tracing was never enabled.
     pub fn take_trace(&mut self) -> Vec<mvtrace::Event> {
         self.tracer.take().map(|r| r.snapshot()).unwrap_or_default()
     }
@@ -356,16 +349,13 @@ impl Runtime {
             .unwrap_or_default()
     }
 
-    /// Records one event if tracing is on. The closure only runs (and
-    /// the event is only constructed) when a ring is installed *and* the
-    /// global flag is set, so with tracing off this inlines to a single
-    /// predictable branch on `self.tracer`.
+    /// Records one event if a ring is installed. The closure only runs
+    /// (and the event is only constructed) then, so with tracing off
+    /// this inlines to a single predictable branch on `self.tracer`.
     #[inline]
     pub(crate) fn emit(&mut self, kind: impl FnOnce() -> EventKind) {
         if let Some(ring) = self.tracer.as_mut() {
-            if mvtrace::enabled() {
-                ring.record(kind());
-            }
+            ring.record(kind());
         }
     }
 
@@ -474,19 +464,18 @@ impl Runtime {
         // §4 wants the site checked before it is touched; the validate
         // phase has already byte-checked every site of the transaction.
         let (site, len) = (self.tables.sites[si].desc.site, self.tables.sites[si].len);
-        let abi = self.abi();
         let (bytes, new_binding) = match inline {
             Some((body_addr, inline_len)) if (inline_len as usize) <= len => {
                 let body = m.mem.read_vec(body_addr, inline_len as usize)?;
                 self.stats.sites_inlined += 1;
                 (
-                    abi.inline_image(&body, len)?,
+                    MV64.inline_image(&body, len)?,
                     SiteBinding::Inlined(body_addr),
                 )
             }
             _ => {
-                let mut b = abi.encode_call(site, target)?;
-                b.extend(abi.nop_fill(len - abi.call_site_len()));
+                let mut b = MV64.encode_call(site, target)?;
+                b.extend(MV64.nop_fill(len - MV64.call_site_len()));
                 (b, SiteBinding::Call(target))
             }
         };
@@ -549,9 +538,9 @@ impl Runtime {
         // Completeness: overwrite the generic entry with `jmp variant`,
         // saving the prologue the first time. A failed apply restores the
         // bookkeeping snapshot, so the saved prologue needs no undo here.
-        let jmp = self.abi().encode_jmp(generic, v_addr)?;
+        let jmp = MV64.encode_jmp(generic, v_addr)?;
         if self.fns[fi].saved_prologue.is_none() {
-            let saved = m.mem.read_vec(generic, self.abi().call_site_len())?;
+            let saved = m.mem.read_vec(generic, MV64.call_site_len())?;
             self.fns[fi].saved_prologue = Some(saved);
         }
         self.write_text(m, generic, &jmp)?;

@@ -20,11 +20,11 @@ use crate::journal::Span;
 use crate::patch::{pages_of, PageBatch};
 use crate::runtime::{CommitReport, FnBinding, PatchStrategy, Runtime, SiteBinding};
 use crate::stats::PatchTiming;
+use mvasm::MV64;
 use mvobj::descriptor::NOT_INLINABLE;
 use mvobj::Prot;
 use mvtrace::{EventKind, Phase as TracePhase};
 use mvvm::{Machine, MemError, PAGE_SIZE};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Bounded retry for transient apply-phase faults.
@@ -543,10 +543,10 @@ impl Runtime {
         if self.fns[fi].saved_prologue.is_none() {
             return false;
         }
-        let Ok(jmp) = self.abi().encode_jmp(f.generic, v.addr) else {
+        let Ok(jmp) = MV64.encode_jmp(f.generic, v.addr) else {
             return false;
         };
-        match m.mem.read_vec(f.generic, self.abi().call_site_len()) {
+        match m.mem.read_vec(f.generic, MV64.call_site_len()) {
             Ok(cur) if cur == jmp => {}
             _ => return false,
         }
@@ -657,9 +657,8 @@ impl Runtime {
             SiteBinding::Original => current == &s.original[..],
             // Rewritten: must hold exactly the call we encoded.
             SiteBinding::Call(target) => {
-                let abi = self.abi();
-                let mut expected = abi.encode_call(s.desc.site, target)?;
-                expected.extend(abi.nop_fill(s.len - abi.call_site_len()));
+                let mut expected = MV64.encode_call(s.desc.site, target)?;
+                expected.extend(MV64.nop_fill(s.len - MV64.call_site_len()));
                 current == &expected[..]
             }
             // Inlined bodies are arbitrary bytes; readability (above) is
@@ -694,9 +693,8 @@ impl Runtime {
     fn validate_install(&self, m: &Machine, fi: usize, vi: usize) -> Result<(), RtError> {
         let f = &self.tables.fns[fi];
         let v = &f.variants[vi];
-        let abi = self.abi();
         // Completeness patching needs room for the entry jump.
-        if f.generic_size < abi.call_site_len() as u32 {
+        if f.generic_size < MV64.call_site_len() as u32 {
             return Err(RtError::GenericTooSmall {
                 function: f.generic,
                 size: f.generic_size,
@@ -704,9 +702,9 @@ impl Runtime {
         }
         // Entry prologue must be readable, executable text, and the
         // variant must be within rel32 reach of the entry jump.
-        m.mem.read_vec(f.generic, abi.call_site_len())?;
+        m.mem.read_vec(f.generic, MV64.call_site_len())?;
         self.check_exec(m, f.generic)?;
-        abi.encode_jmp(f.generic, v.addr)?;
+        MV64.encode_jmp(f.generic, v.addr)?;
         // The variant body must be readable if it may be inlined.
         let may_inline = self.inline_enabled && v.inline_len != NOT_INLINABLE;
         if may_inline {
@@ -719,7 +717,7 @@ impl Runtime {
                     // Sites that will be rewritten (not inlined) must be
                     // within rel32 reach of the variant.
                     if !(may_inline && (v.inline_len as usize) <= self.tables.sites[si].len) {
-                        abi.encode_call(self.tables.sites[si].desc.site, v.addr)?;
+                        MV64.encode_call(self.tables.sites[si].desc.site, v.addr)?;
                     }
                 }
             }
@@ -739,7 +737,7 @@ impl Runtime {
             }
         }
         if self.fns[fi].saved_prologue.is_some() {
-            m.mem.read_vec(generic, self.abi().call_site_len())?;
+            m.mem.read_vec(generic, MV64.call_site_len())?;
             self.check_exec(m, generic)?;
         }
         Ok(())
@@ -762,8 +760,7 @@ impl Runtime {
             for &si in idxs {
                 self.check_site_patchable(m, si)?;
                 if inline_len.is_none_or(|il| (il as usize) > self.tables.sites[si].len) {
-                    self.abi()
-                        .encode_call(self.tables.sites[si].desc.site, target)?;
+                    MV64.encode_call(self.tables.sites[si].desc.site, target)?;
                 }
             }
         }
@@ -940,12 +937,10 @@ impl Runtime {
                 other => break other,
             }
         };
-        // Backend post-commit hook: the image and bookkeeping are final
-        // for this operation, so the backend may reconcile tier state
-        // (e.g. re-lower native regions) against the new bindings.
+        // The image and bookkeeping are final for this operation, so
+        // native regions can follow the new bindings.
         if result.is_ok() {
-            let b = Arc::clone(&self.backend);
-            b.sync(m, self);
+            self.sync_native(m);
         }
         self.emit(|| EventKind::CommitEnd { ok: result.is_ok() });
         let (stats, timing) = (self.stats, self.last_timing);

@@ -49,8 +49,11 @@ pub enum ExecTier {
     /// replayed, hot block entries re-recorded as superblocks that fuse
     /// across direct `jmp`/`call` transfers, and pre-lowered
     /// whole-function regions ([`crate::native`]) wherever a caller
-    /// registered them with [`crate::Machine::ensure_native`] — the
-    /// `native` runtime backend does so through the commit protocol.
+    /// registered them with [`crate::Machine::ensure_native`]. An
+    /// attached multiverse runtime keeps one region per multiversed
+    /// function's live entry after every commit
+    /// (`mvrt::Runtime::sync_native`), so on this tier regions follow
+    /// the bindings; on [`ExecTier::Tierless`] none are kept.
     Tiered,
 }
 

@@ -1100,8 +1100,8 @@ impl Machine {
     /// Lowers and registers the function region at `entry` for the
     /// tiered engine, if it is not already covered by a valid region.
     /// Returns `false` when nothing executable could be lowered there.
-    /// Idempotent; the `native` runtime backend calls this from its
-    /// post-commit sync for every installed variant.
+    /// Idempotent; an attached runtime calls this after every commit
+    /// for each multiversed function's live entry.
     pub fn ensure_native(&mut self, entry: u64) -> bool {
         if let Some(nf) = self.natives.get(entry).cloned() {
             if self.native_valid(&nf) {
@@ -1119,7 +1119,7 @@ impl Machine {
     }
 
     /// Drops lowered regions whose registered entry fails `keep` (the
-    /// reconciliation half of the `native` backend's post-commit sync).
+    /// reconciliation half of the runtime's post-commit region sync).
     pub fn retain_native(&mut self, keep: impl Fn(u64) -> bool) {
         self.natives.retain_regions(keep);
     }
@@ -1127,6 +1127,13 @@ impl Machine {
     /// `true` if a lowered region covers a block starting at `pc`.
     pub fn has_native(&self, pc: u64) -> bool {
         self.natives.get(pc).is_some()
+    }
+
+    /// Root entries of the registered native regions, ascending.
+    pub fn native_entries(&self) -> Vec<u64> {
+        let mut entries = self.natives.entries();
+        entries.sort_unstable();
+        entries
     }
 
     /// Counters of the native regions (see [`NativeStats`]).

@@ -30,10 +30,10 @@
 //! attached, or on sticky SMP icaches, registered regions do not run at
 //! all; [`NativeStats`] counts each such bypass by reason.
 //!
-//! Registration is explicit ([`crate::Machine::ensure_native`]): the
-//! `native` runtime backend drives it from the commit protocol, keeping
-//! the set of lowered regions in lockstep with the functions' installed
-//! variants.
+//! Registration is explicit ([`crate::Machine::ensure_native`]): on a
+//! tiered machine the multiverse runtime drives it from the commit
+//! protocol, keeping the set of lowered regions in lockstep with the
+//! functions' installed variants.
 
 use crate::block::FxBuildHasher;
 use crate::mem::{Memory, PAGE_SIZE};

@@ -1,28 +1,30 @@
-//! Backend differential suite: the `native` host-closure backend must be
-//! observation-identical to the reference `mv64` backend on every
-//! workload — byte-identical committed text images, identical machine
-//! [`Stats`](multiverse::mvvm::Stats), identical patcher stats, identical
-//! results — differing only in how fast the host executes them. A
-//! backend that gets faster by observing differently is a broken
-//! backend, not a fast one.
+//! Engine differential suite: a world on the tiered engine, whose
+//! multiversed functions run as native host-closure regions kept in step
+//! by every commit, must be observation-identical to the tierless
+//! reference on every workload — byte-identical committed text images,
+//! identical machine [`Stats`](multiverse::mvvm::Stats), identical
+//! patcher stats, identical results — differing only in how fast the
+//! host executes them. An engine that gets faster by observing
+//! differently is a broken engine, not a fast one.
 //!
 //! Coverage: every `mv_workloads` case study (spinlock, pvops, musl,
 //! grep, cpython, alternative), a commit/revert/partial-commit drive on
 //! a fresh program, one full fault-index sweep (every position of every
 //! fault op), and the quiesced SMP protocols.
 
-use multiverse::mvvm::{MachineMode, Platform};
+use multiverse::mvvm::{ExecTier, MachineMode, Platform};
 use multiverse::{Program, World};
 use mv_workloads::{alternative, cpython, grep, musl, pvops, spinlock, textgen};
 
-const BACKENDS: [&str; 2] = ["mv64", "native"];
+/// The reference engine first, then the one held to it.
+const TIERS: [ExecTier; 2] = [ExecTier::Tierless, ExecTier::Tiered];
 
 fn text_of(w: &World) -> Vec<u8> {
     let (addr, size) = w.exe().section(multiverse::mvobj::SEC_TEXT);
     w.machine.mem.read_vec(addr, size as usize).unwrap()
 }
 
-/// Everything one backend run exposes to an observer: the drive's own
+/// Everything one engine's run exposes to an observer: the drive's own
 /// outputs, the final text image, the guest-side machine counters and
 /// the patcher counters.
 #[derive(Debug, PartialEq)]
@@ -33,16 +35,16 @@ struct Observation<O> {
     patcher: Option<multiverse::mvrt::PatchStats>,
 }
 
-/// Boots one world per backend, drives both identically, and asserts
+/// Boots one world per engine, drives both identically, and asserts
 /// the observations match field by field.
 fn differential<O: PartialEq + std::fmt::Debug>(
     label: &str,
     boot: impl Fn() -> World,
     drive: impl Fn(&mut World) -> O,
 ) {
-    let run = |backend: &str| {
+    let run = |tier: ExecTier| {
         let mut w = boot();
-        w.set_backend(backend).unwrap();
+        w.set_tier(tier);
         let output = drive(&mut w);
         Observation {
             output,
@@ -51,8 +53,8 @@ fn differential<O: PartialEq + std::fmt::Debug>(
             patcher: w.rt.as_ref().map(|rt| rt.stats),
         }
     };
-    let reference = run(BACKENDS[0]);
-    let native = run(BACKENDS[1]);
+    let reference = run(TIERS[0]);
+    let native = run(TIERS[1]);
     assert_eq!(
         reference.output, native.output,
         "{label}: observable outputs diverged"
@@ -216,7 +218,7 @@ const DRIVE_SRC: &str = r#"
 "#;
 
 /// Commit / call / revert / partial-commit sequences leave both
-/// backends in the same state after every step, not just at the end.
+/// engines in the same state after every step, not just at the end.
 #[test]
 fn commit_revert_drive_is_backend_identical() {
     let program = Program::build(&[("d.c", DRIVE_SRC)]).unwrap();
@@ -252,24 +254,24 @@ fn commit_revert_drive_is_backend_identical() {
 }
 
 /// The fault dimension: for every position of every fault op in a full
-/// commit, both backends surface the same error, roll back to the same
+/// commit, both engines surface the same error, roll back to the same
 /// pristine image, and heal into the same committed image.
 #[test]
 fn fault_sweep_is_backend_identical() {
     use multiverse::mvvm::{FaultOp, FaultPlan};
 
     let program = Program::build(&[("d.c", DRIVE_SRC)]).unwrap();
-    let boot_configured = |backend: &str| {
+    let boot_configured = |tier: ExecTier| {
         let mut w = program.boot();
-        w.set_backend(backend).unwrap();
+        w.set_tier(tier);
         w.set("a_", 1).unwrap();
         w.set("b_", 1).unwrap();
         w
     };
 
-    // Probe: the op counts of one clean commit (identical per backend by
+    // Probe: the op counts of one clean commit (identical per engine by
     // the drive test above; use the reference).
-    let mut probe = boot_configured("mv64");
+    let mut probe = boot_configured(TIERS[0]);
     probe.commit().unwrap();
     let d = probe.rt.as_ref().unwrap().stats;
     let schedule = [
@@ -280,13 +282,13 @@ fn fault_sweep_is_backend_identical() {
 
     for (op, count) in schedule {
         for n in 1..=count {
-            let observe = |backend: &str| {
-                let mut w = boot_configured(backend);
+            let observe = |tier: ExecTier| {
+                let mut w = boot_configured(tier);
                 w.machine.inject_fault(FaultPlan::new(op, n));
                 let err = format!(
                     "{:?}",
                     w.commit()
-                        .expect_err(&format!("{backend}: {op:?}@{n} must surface"))
+                        .expect_err(&format!("{tier}: {op:?}@{n} must surface"))
                 );
                 let torn = text_of(&w);
                 let rollbacks = w.rt.as_ref().unwrap().stats.rollbacks;
@@ -306,18 +308,18 @@ fn fault_sweep_is_backend_identical() {
                     calls,
                 )
             };
-            let reference = observe("mv64");
-            let native = observe("native");
+            let reference = observe(TIERS[0]);
+            let native = observe(TIERS[1]);
             assert_eq!(reference, native, "{op:?} fault at position {n} diverged");
         }
     }
 }
 
-/// Quiesced SMP commits: both protocols, both backends, same worker
+/// Quiesced SMP commits: both protocols, both engines, same worker
 /// results and same committed image. (Under SMP the tiered engine
 /// leaves native regions unused whenever a vCPU's sticky instruction
-/// cache is active, so this pins down that the backend never changes
-/// SMP semantics.)
+/// cache is active, so this pins down that regions never change SMP
+/// semantics.)
 #[test]
 fn smp_quiesced_commits_are_backend_identical() {
     use multiverse::mvrt::CommitStrategy;
@@ -337,9 +339,9 @@ fn smp_quiesced_commits_are_backend_identical() {
     let program = Program::build(&[("s.c", SMP_SRC)]).unwrap();
 
     for strategy in [CommitStrategy::StopMachine, CommitStrategy::Breakpoint] {
-        let run = |backend: &str| {
+        let run = |tier: ExecTier| {
             let mut w = program.boot_smp(4);
-            w.set_backend(backend).unwrap();
+            w.set_tier(tier);
             w.set("fast", 1).unwrap();
             let report = w.commit_quiesced(strategy).unwrap();
             w.spawn_all("worker", &[64]).unwrap();
@@ -348,8 +350,8 @@ fn smp_quiesced_commits_are_backend_identical() {
             let text = w.smp.machine.mem.read_vec(addr, size as usize).unwrap();
             (report.commit.variants_committed, results, text)
         };
-        let reference = run(BACKENDS[0]);
-        let native = run(BACKENDS[1]);
+        let reference = run(TIERS[0]);
+        let native = run(TIERS[1]);
         assert_eq!(reference, native, "{strategy}: SMP run diverged");
         assert!(
             reference.1.iter().all(|&r| r == 128),

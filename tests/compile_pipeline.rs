@@ -136,6 +136,34 @@ fn program_through_pipeline_matches_default_build() {
     }
 }
 
+/// A pipeline with a ring installed records its stage spans: the ring
+/// is the only switch, with no process-wide flag to turn on first. Every
+/// stage that begins also ends, in order.
+#[test]
+fn pipeline_with_a_ring_records_stage_spans() {
+    use multiverse::mvtrace::EventKind;
+    let mut pl = Pipeline::new(opts(1, false));
+    pl.enable_tracing(4096);
+    Program::build_with_pipeline(&units(), &mut pl, true).expect("pipeline build");
+    let events = pl.take_trace();
+    let begins: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::StageBegin { stage } => Some(stage),
+            _ => None,
+        })
+        .collect();
+    let ends: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::StageEnd { stage, .. } => Some(stage),
+            _ => None,
+        })
+        .collect();
+    assert!(!begins.is_empty(), "no stage_begin events: {events:?}");
+    assert_eq!(begins, ends, "every stage_begin has its stage_end");
+}
+
 /// The explosion error names every offending switch with its domain
 /// size, so the user knows exactly which factors to restrict.
 #[test]

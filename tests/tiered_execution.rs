@@ -73,6 +73,93 @@ fn compiled_program_commit_cycle_is_tier_invariant() {
     assert!(hits > 0, "{tier}: repeated calls must replay blocks");
 }
 
+/// Three multiversed functions over two switches, so a commit binds
+/// some to variants and leaves others generic.
+const REGIONS_SRC: &str = r#"
+    multiverse(0, 1, 2) i32 a_;
+    multiverse(0, 1) i32 b_;
+    multiverse i64 f1(void) { return a_ * 10 + 1; }
+    multiverse i64 f2(void) { return b_ * 100 + 2; }
+    multiverse i64 f3(void) { return a_ * 1000 + b_ * 10000; }
+    i64 main(void) { return f1() + f2() + f3(); }
+"#;
+
+/// The live entry of every multiversed function: the committed variant,
+/// or the generic body. Ascending, like [`Machine::native_entries`].
+///
+/// [`Machine::native_entries`]: multiverse::mvvm::Machine::native_entries
+fn live_entries(w: &multiverse::World) -> Vec<u64> {
+    use multiverse::mvrt::FnBinding;
+    let rt = w.rt.as_ref().unwrap();
+    let mut live: Vec<u64> = ["f1", "f2", "f3"]
+        .iter()
+        .map(|f| {
+            let generic = w.sym(f).unwrap();
+            match rt.binding_of(generic).unwrap() {
+                FnBinding::Variant(v) => v,
+                FnBinding::Generic => generic,
+            }
+        })
+        .collect();
+    live.sort_unstable();
+    live
+}
+
+/// Native regions follow the tier: `World::set_tier(Tiered)` lowers
+/// every multiversed function's live entry before the first commit, and
+/// after each commit or revert the registry holds exactly the live
+/// entries. A tierless world keeps none. The older engine names map
+/// onto the same two tiers.
+#[test]
+fn tiered_world_regions_track_the_live_entries() {
+    let program = Program::build(&[("r.c", REGIONS_SRC)]).unwrap();
+    let mut w = program.boot();
+    w.set_tier(ExecTier::Tiered);
+    let live = live_entries(&w);
+    for &entry in &live {
+        assert!(w.machine.has_native(entry), "{entry:#x} not lowered");
+    }
+    assert_eq!(w.machine.native_entries(), live, "before the first commit");
+
+    w.set("a_", 1).unwrap();
+    w.set("b_", 1).unwrap();
+    w.commit().unwrap();
+    let committed = live_entries(&w);
+    assert_ne!(committed, live, "the commit must rebind some function");
+    assert_eq!(w.machine.native_entries(), committed, "after commit");
+    assert_eq!(w.call("main", &[]).unwrap(), 11 + 102 + 11000);
+    assert!(w.machine.native_stats().runs > 0, "regions must run");
+
+    w.revert().unwrap();
+    assert_eq!(live_entries(&w), live);
+    assert_eq!(w.machine.native_entries(), live, "after revert");
+
+    let mut tierless = program.boot();
+    tierless.set_tier(ExecTier::Tierless);
+    tierless.commit().unwrap();
+    assert!(tierless.machine.native_entries().is_empty());
+
+    for (name, tier) in [
+        ("mv64", ExecTier::Tierless),
+        ("native", ExecTier::Tiered),
+        ("host", ExecTier::Tiered),
+    ] {
+        let mut by_name = program.boot();
+        by_name.set_backend(name).unwrap();
+        let mut by_tier = program.boot();
+        by_tier.set_tier(tier);
+        assert_eq!(by_name.machine.tier(), tier, "{name}");
+        assert_eq!(
+            by_name.machine.native_entries(),
+            by_tier.machine.native_entries(),
+            "{name}"
+        );
+        let mut smp = program.boot_smp(2);
+        smp.set_backend(name).unwrap();
+        assert_eq!(smp.smp.tier(), tier, "{name} on SMP");
+    }
+}
+
 fn boot_workers(p: &Program, tier: ExecTier, seed: u64) -> SmpWorld {
     let mut w = p.boot_smp(VCPUS);
     w.smp.set_seed(seed);

@@ -42,11 +42,11 @@ fn src() -> String {
     )
 }
 
-/// A booted world on the native backend that has run `main` once, so
+/// A booted world on the tiered engine that has run `main` once, so
 /// its block cache and native regions are populated.
 fn warm(p: &Program) -> World {
     let mut w = p.boot();
-    w.set_backend("native").unwrap();
+    w.set_tier(ExecTier::Tiered);
     w.call("main", &[]).unwrap();
     w
 }
